@@ -1,18 +1,9 @@
-"""Build the optional Cython kernel; fall back to pure Python if cythonize fails."""
+"""Setuptools shim: all metadata lives in pyproject.toml.
+
+Kept so that `python setup.py develop` works on hosts whose setuptools
+cannot build an editable wheel.
+"""
 
 from setuptools import setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/kirwan/_kernel/_speedups.pyx"],
-        language_level=3,
-    )
-except Exception as exc:  # pragma: no cover - build-environment dependent
-    import sys
-
-    print(f"cython kernel skipped ({exc}); pure-python kernel will be used", file=sys.stderr)
-
-setup(ext_modules=ext_modules)
+setup()

@@ -1,44 +1,10 @@
-"""Reduction-kernel selection.
+"""The reduction kernel: exact integer reduction on packed exponent vectors.
 
-Two interchangeable implementations of the five kernel functions exist: the
-compiled extension `_speedups` (built from Cython when available) and the
-pure-Python `pure` module.  KIRWAN_KERNEL picks one:
-
-  auto    compiled if importable, else pure (default)
-  cython  compiled, ImportError if the extension is missing
-  pure    always the Python implementation
-
-The active choice is exposed as KERNEL_NAME for diagnostics and benchmarks.
+One pure-Python implementation (`pure`) supplies the six kernel functions the
+Groebner engine calls; see its module docstring for the packed term layout.
+KERNEL_NAME names it for diagnostics and benchmarks.
 """
 
-import os
+from .pure import key_of, kp_iterms, kp_lt, kp_make, kp_normal_form, kp_spoly
 
-_choice = os.environ.get("KIRWAN_KERNEL", "auto").strip().lower()
-
-if _choice not in ("auto", "cython", "pure"):
-    raise ValueError(f"KIRWAN_KERNEL must be auto, cython, or pure, not {_choice!r}")
-
-if _choice == "pure":
-    from . import pure as _impl
-
-    KERNEL_NAME = "pure"
-elif _choice == "cython":
-    from . import _speedups as _impl  # type: ignore[attr-defined]
-
-    KERNEL_NAME = "cython"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-
-        KERNEL_NAME = "cython"
-    except ImportError:
-        from . import pure as _impl
-
-        KERNEL_NAME = "pure"
-
-key_of = _impl.key_of
-kp_make = _impl.kp_make
-kp_iterms = _impl.kp_iterms
-kp_lt = _impl.kp_lt
-kp_spoly = _impl.kp_spoly
-kp_normal_form = _impl.kp_normal_form
+KERNEL_NAME = "pure"

@@ -1,58 +1,134 @@
-"""Pure-Python reduction kernel.
+"""Reduction kernel on packed exponent vectors.
 
-The compiled kernel (when built) exports the same five functions with
-identical semantics; parity is enforced by tests.  Everything here works on
-integer-primitive data so all arithmetic is exact machine-to-bignum int:
+Every term carries its order key and its monomial as Python ints, so the
+inner loops of reduction do integer arithmetic only (Monagan & Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007):
 
-  kernel polynomial (KP): (lt_key, lt_mono, lt_coef, tail)
-    tail: tuple of (key, mono, coef), strictly descending by key
+  packed monomial: exponent i in bits [16*i, 16*i + 16); the top bit of each
+    field is a guard that stays clear, so exponents run from 0 to EXP_MAX.
+    Multiplication is one int add, and a divides b exactly when
+    ((b - a) & MASK) == 0, MASK holding the guard bits: a field with
+    b_i < a_i borrows and sets its own guard bit.
+  order key: a linear form in the exponents whose value orders monomials as
+    the spec's order does.  The order's key tuple (weighted degree, negated
+    exponents, ...) is read in mixed radix, each digit wide enough for
+    exponents up to 2*EXP_MAX, so the key of a product is the sum of the keys
+    and an overflowing product still gets a distinct key until it is caught.
+
+  kernel polynomial (KP): (lt_key, lt_mono, lt_coef, tail, lt_packed)
+    lt_mono: the leading exponent tuple; lt_packed: the same monomial packed
+    tail: tuple of (-key, packed mono, coef), strictly descending in the order
+      (the key is stored negated so heapq pops the largest term first)
     coefficients: Python ints, gcd 1 over the whole polynomial, lt_coef > 0
   the zero polynomial is None
 
   order spec: ("grevlex", weights) | ("lex", nvars) | ("block", front, weights)
 
-Pseudo-reduction tracks the scale it introduces, so kp_normal_form returns
-the exact normal form as (num, den, terms) with value = (num/den) * terms.
+kp_normal_form accumulates the remaining work in a dict keyed by the negated
+key, with a heap of those keys (Yan, "The geobucket data structure for
+polynomials", JSC 1998, is the same idea with buckets), and tracks the
+denominator its pseudo-steps introduce, so it returns the exact normal form
+as (num, den, terms) with value = (num/den) * terms.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
+from operator import mul
+from struct import Struct
+
+_FIELD_BITS = 16
+EXP_MAX = (1 << (_FIELD_BITS - 1)) - 1
+
+_LAYOUTS: dict = {}
+_PACKERS: dict = {}
+
+
+def _exponent_error(what) -> OverflowError:
+    return OverflowError(f"{what} has an exponent outside 0..{EXP_MAX}, the packed kernel's range")
+
+
+def _packer(n):
+    """(struct for n 16-bit fields, guard-bit MASK) for n variables."""
+    p = _PACKERS.get(n)
+    if p is None:
+        guard = 1 << (_FIELD_BITS - 1)
+        mask = 0
+        for i in range(n):
+            mask |= guard << (_FIELD_BITS * i)
+        p = _PACKERS[n] = (Struct(f"<{n}H"), mask)
+    return p
+
+
+def _key_digits(spec):
+    """The order's key tuple as coefficient vectors over the exponents."""
+    tag = spec[0]
+
+    def unit(n, i, sign):
+        v = [0] * n
+        v[i] = sign
+        return v
+
+    if tag == "grevlex":
+        w = spec[1]
+        n = len(w)
+        return [list(w)] + [unit(n, i, -1) for i in range(n - 1, -1, -1)]
+    if tag == "lex":
+        n = spec[1]
+        return [unit(n, i, 1) for i in range(n)]
+    front, w = spec[1], spec[2]
+    n = len(w)
+    return (
+        [[wi if i < front else 0 for i, wi in enumerate(w)]]
+        + [unit(n, i, -1) for i in range(front - 1, -1, -1)]
+        + [[wi if i >= front else 0 for i, wi in enumerate(w)]]
+        + [unit(n, i, -1) for i in range(n - 1, front - 1, -1)]
+    )
+
+
+def _layout(spec):
+    """Per-variable coefficients of the packed order key for this spec.
+
+    Digit k is scaled by the product of the ranges of the digits after it;
+    digits after the first span at most 2*EXP_MAX*sum|c| values, so the
+    first differing digit decides the comparison, as in the key tuple.
+    """
+    coefs = _LAYOUTS.get(spec)
+    if coefs is None:
+        digits = _key_digits(spec)
+        coefs = [0] * len(digits[0])
+        radix = 1
+        for digit in reversed(digits):
+            for i, c in enumerate(digit):
+                coefs[i] += c * radix
+            radix <<= (2 * EXP_MAX * sum(abs(c) for c in digit)).bit_length()
+        coefs = _LAYOUTS[spec] = tuple(coefs)
+    return coefs
+
+
+def _check(mono):
+    if mono and (min(mono) < 0 or max(mono) > EXP_MAX):
+        raise _exponent_error(f"monomial {tuple(mono)}")
+
+
+def _pack(mono):
+    return int.from_bytes(_packer(len(mono))[0].pack(*mono), "little")
+
+
+def _unpack(pm, n):
+    st = _packer(n)[0]
+    return st.unpack(pm.to_bytes(st.size, "little"))
 
 
 def key_of(spec, mono):
-    tag = spec[0]
-    if tag == "grevlex":
-        w = spec[1]
-        s = 0
-        for e, wi in zip(mono, w):
-            s += e * wi
-        return (s,) + tuple(-e for e in reversed(mono))
-    if tag == "lex":
-        return tuple(mono)
-    front, w = spec[1], spec[2]
-    s1 = 0
-    for i in range(front):
-        s1 += mono[i] * w[i]
-    s2 = 0
-    for i in range(front, len(mono)):
-        s2 += mono[i] * w[i]
-    back = (
-        (s2,) + tuple(-mono[i] for i in range(len(mono) - 1, front - 1, -1))
-    )
-    return (s1,) + tuple(-mono[i] for i in range(front - 1, -1, -1)) + back
+    _check(mono)
+    return sum(map(mul, mono, _layout(spec)))
 
 
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _kp_from_sorted(terms):
-    """Normalize a descending (key, mono, coef) list into a KP."""
+def _kp_from_terms(terms, n):
+    """KP from (-key, packed mono, coef) triples, ascending in -key."""
     if not terms:
         return None
     g = 0
@@ -62,8 +138,8 @@ def _kp_from_sorted(terms):
         g = -g
     if g != 1:
         terms = [(k, m, c // g) for k, m, c in terms]
-    head = terms[0]
-    return (head[0], head[1], head[2], tuple(terms[1:]))
+    nk, pm, c = terms[0]
+    return (-nk, _unpack(pm, n), c, tuple(terms[1:]), pm)
 
 
 def kp_make(iterms, spec):
@@ -75,130 +151,119 @@ def kp_make(iterms, spec):
             acc[m] = c0
         elif m in acc:
             del acc[m]
-    terms = [(key_of(spec, m), m, c) for m, c in acc.items()]
-    terms.sort(reverse=True)
-    return _kp_from_sorted(terms)
+    if not acc:
+        return None
+    kc = _layout(spec)
+    terms = []
+    for m, c in acc.items():
+        _check(m)
+        terms.append((-sum(map(mul, m, kc)), _pack(m), c))
+    terms.sort()
+    return _kp_from_terms(terms, len(kc))
 
 
 def kp_iterms(kp):
     if kp is None:
         return []
-    return [(kp[1], kp[2])] + [(m, c) for _, m, c in kp[3]]
+    n = len(kp[1])
+    return [(kp[1], kp[2])] + [(_unpack(pm, n), c) for _, pm, c in kp[3]]
 
 
 def kp_lt(kp):
     return kp[1], kp[2]
 
 
-def _merge(a, b):
-    """Sum of two strictly-descending term lists, zero coefficients dropped."""
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ta, tb = a[i], b[j]
-        ka, kb = ta[0], tb[0]
-        if ka > kb:
-            out.append(ta)
-            i += 1
-        elif kb > ka:
-            out.append(tb)
-            j += 1
-        else:
-            c = ta[2] + tb[2]
-            if c:
-                out.append((ka, ta[1], c))
-            i += 1
-            j += 1
-    if i < na:
-        out.extend(a[i:])
-    if j < nb:
-        out.extend(b[j:])
-    return out
-
-
 def kp_spoly(f, g, spec):
     """S-polynomial of two KPs, primitive; None when it cancels outright."""
-    fk, fm, fc, ftail = f
-    gk, gm, gc, gtail = g
-    lcm = tuple(max(x, y) for x, y in zip(fm, gm))
-    lk = key_of(spec, lcm)
+    fk, fm, fc, ftail, fp = f
+    gk, gm, gc, gtail, gp = g
+    lcm = tuple(map(max, fm, gm))
+    lk = sum(map(mul, lcm, _layout(spec)))
+    lp = _pack(lcm)
+    mask = _packer(len(lcm))[1]
     d = gcd(fc, gc)
-    cf, cg = fc // d, gc // d
-    qfk = tuple(x - y for x, y in zip(lk, fk))
-    qfm = tuple(x - y for x, y in zip(lcm, fm))
-    qgk = tuple(x - y for x, y in zip(lk, gk))
-    qgm = tuple(x - y for x, y in zip(lcm, gm))
-    a = [
-        (tuple(x + y for x, y in zip(k, qfk)), tuple(x + y for x, y in zip(m, qfm)), c * cg)
-        for k, m, c in ftail
-    ]
-    b = [
-        (tuple(x + y for x, y in zip(k, qgk)), tuple(x + y for x, y in zip(m, qgm)), -c * cf)
-        for k, m, c in gtail
-    ]
-    return _kp_from_sorted(_merge(a, b))
+    mf, mg = gc // d, -(fc // d)
+    coefs = {}
+    monos = {}
+    for tail, shift, q, mult in ((ftail, fk - lk, lp - fp, mf), (gtail, gk - lk, lp - gp, mg)):
+        for tk, tm, tc in tail:
+            k = tk + shift
+            c = coefs.get(k)
+            if c is None:
+                m = tm + q
+                if m & mask:
+                    raise _exponent_error("an S-polynomial term")
+                coefs[k] = tc * mult
+                monos[k] = m
+            else:
+                coefs[k] = c + tc * mult
+    terms = [(k, monos[k], c) for k, c in sorted(coefs.items()) if c]
+    return _kp_from_terms(terms, len(lcm))
 
 
 def kp_normal_form(target, reducers, spec):
-    """Exact normal form of a KP modulo a list of KPs.
+    """Exact normal form of a KP modulo a list of nonzero KPs.
 
     Reduction picks the first reducer (list order) whose leading monomial
-    divides the working head; pseudo-steps multiply the remaining work by the
-    reducer's leading coefficient and the tracked scale absorbs it.  Returns
-    (num, den, terms): value = (num/den) * terms, terms integer-primitive in
-    descending order, num, den > 0 coprime; (1, 1, []) for zero.
+    divides the working head.  A pseudo-step multiplies the remaining work by
+    the reducer's leading coefficient over its gcd with the head coefficient,
+    and the tracked denominator absorbs it.  Returns (num, den, terms):
+    value = (num/den) * terms, terms integer-primitive in descending order,
+    num, den > 0 coprime; (1, 1, []) for zero.
     """
     if target is None:
         return 1, 1, []
-    work = [(target[0], target[1], target[2]), *target[3]]
-    sn, sd = 1, 1
-    out = []  # (mono, Fraction) in descending key order
-    idx = 0
-    while idx < len(work):
-        k0, m0, c0 = work[idx]
-        red = None
-        for r in reducers:
-            if r is not None and _divides(r[1], m0):
-                red = r
-                break
-        if red is None:
-            out.append((m0, Fraction(c0 * sn, sd)))
-            idx += 1
+    n = len(target[1])
+    mask = _packer(n)[1]
+    tk0 = -target[0]
+    tail = target[3]
+    heap = [tk0]
+    coefs = {tk0: target[2]}
+    monos = {tk0: target[4]}
+    for tk, tm, tc in tail:
+        heap.append(tk)  # ascending already, so a valid heap
+        coefs[tk] = tc
+        monos[tk] = tm
+    den = 1
+    out = []  # (packed mono, coef, den at the time): value coef / den
+    while heap:
+        nk = heappop(heap)
+        c0 = coefs.pop(nk)
+        pm = monos.pop(nk)
+        if not c0:
             continue
-        rk, rm, rc, rtail = red
-        qk = tuple(x - y for x, y in zip(k0, rk))
-        qm = tuple(x - y for x, y in zip(m0, rm))
-        rest = work[idx + 1 :]
-        if rc != 1:
-            rest = [(k, m, c * rc) for k, m, c in rest]
-            sd *= rc
-        shifted = [
-            (tuple(x + y for x, y in zip(k, qk)), tuple(x + y for x, y in zip(m, qm)), -c0 * c)
-            for k, m, c in rtail
-        ]
-        work = _merge(rest, shifted)
-        idx = 0
-        if work:
-            g = 0
-            for _, _, c in work:
-                g = gcd(g, c)
-            if g > 1:
-                work = [(k, m, c // g) for k, m, c in work]
-                sn *= g
-        g2 = gcd(sn, sd)
-        if g2 > 1:
-            sn //= g2
-            sd //= g2
+        for r in reducers:
+            if not (pm - r[4]) & mask:
+                break
+        else:
+            out.append((pm, c0, den))
+            continue
+        rc = r[2]
+        g = gcd(c0, rc)
+        if g != rc:
+            scale = rc // g
+            den *= scale
+            for k in coefs:
+                coefs[k] *= scale
+        f = -(c0 // g)
+        shift = nk + r[0]
+        q = pm - r[4]
+        for tk, tm, tc in r[3]:
+            k = tk + shift
+            c = coefs.get(k)
+            if c is None:
+                m = tm + q
+                if m & mask:
+                    raise _exponent_error("a reduction term")
+                coefs[k] = f * tc
+                monos[k] = m
+                heappush(heap, k)
+            else:
+                coefs[k] = c + f * tc
     if not out:
         return 1, 1, []
-    den = 1
-    for _, c in out:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for _, c in out]
-    num = 0
-    for v in ints:
-        num = gcd(num, v)
-    terms = [(m, v // num) for (m, _), v in zip(out, ints)]
-    g3 = gcd(num, den)
-    return num // g3, den // g3, terms
+    ints = [c if d == den else c * (den // d) for _, c, d in out]
+    num = gcd(*ints)
+    terms = [(_unpack(pm, n), v // num) for (pm, _, _), v in zip(out, ints)]
+    g = gcd(num, den)
+    return num // g, den // g, terms

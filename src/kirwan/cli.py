@@ -74,10 +74,13 @@ def _parse_subset(text: str) -> frozenset:
         raise ParseError(f"bad subset {text!r}: {exc}") from None
 
 
-def _budgets(args) -> Budgets | None:
-    if args.max_basis is None and args.max_degree is None:
-        return None
-    base = Budgets()
+def _budgets(args) -> Budgets:
+    """The environment's budgets with the --max-basis/--max-degree overrides.
+
+    A malformed KIRWAN_MAX_BASIS or KIRWAN_MAX_DEGREE raises ValueError,
+    which main reports as a usage error.
+    """
+    base = Budgets.from_env()
     return Budgets(
         max_basis=args.max_basis if args.max_basis is not None else base.max_basis,
         max_degree=args.max_degree if args.max_degree is not None else base.max_degree,
@@ -220,7 +223,7 @@ def _cmd_localize_demo(args) -> tuple:
 
 
 def _cmd_shorts(args) -> tuple:
-    inst = HyperpolygonInstance(EdgeLengths(_parse_xi(args.xi)), budgets=_budgets(args))
+    inst = HyperpolygonInstance(EdgeLengths(_parse_xi(args.xi)), budgets=args.budgets)
     payload = {
         "n": inst.n,
         "xi": [str(v) for v in inst.lengths.xi],
@@ -231,7 +234,7 @@ def _cmd_shorts(args) -> tuple:
 
 
 def _cmd_present(args) -> tuple:
-    inst = HyperpolygonInstance(EdgeLengths(_parse_xi(args.xi)), budgets=_budgets(args))
+    inst = HyperpolygonInstance(EdgeLengths(_parse_xi(args.xi)), budgets=args.budgets)
     payload = {
         "n": inst.n,
         "xi": [str(v) for v in inst.lengths.xi],
@@ -265,14 +268,14 @@ def _checks_pass(report: dict) -> bool:
 
 def _cmd_verify(args) -> tuple:
     report = full_report(
-        EdgeLengths(_parse_xi(args.xi)), budgets=_budgets(args),
+        EdgeLengths(_parse_xi(args.xi)), budgets=args.budgets,
         with_certificates=False,
     )
     return report, _checks_pass(report)
 
 
 def _cmd_certify(args) -> tuple:
-    inst = HyperpolygonInstance(EdgeLengths(_parse_xi(args.xi)), budgets=_budgets(args))
+    inst = HyperpolygonInstance(EdgeLengths(_parse_xi(args.xi)), budgets=args.budgets)
     if args.subset is not None:
         subsets = [_parse_subset(args.subset)]
         if not subsets[0]:
@@ -296,7 +299,7 @@ def _cmd_certify(args) -> tuple:
 def _cmd_betti(args) -> tuple:
     from .hyperpolygon import betti_numbers, konno_ring
 
-    inst = HyperpolygonInstance(EdgeLengths(_parse_xi(args.xi)), budgets=_budgets(args))
+    inst = HyperpolygonInstance(EdgeLengths(_parse_xi(args.xi)), budgets=args.budgets)
     betti = betti_numbers(inst)
     konno = konno_ring(inst.n, budgets=inst.budgets)
     top = konno.top_degree()
@@ -312,7 +315,7 @@ def _cmd_betti(args) -> tuple:
 
 
 def _cmd_report(args) -> tuple:
-    report = full_report(EdgeLengths(_parse_xi(args.xi)), budgets=_budgets(args))
+    report = full_report(EdgeLengths(_parse_xi(args.xi)), budgets=args.budgets)
     return report, _checks_pass(report)
 
 
@@ -396,6 +399,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 for --help/--version
         return int(exc.code or 0)
     try:
+        args.budgets = _budgets(args)
         payload, ok = _DISPATCH[args.command](args)
     except NonGenericError as exc:
         payload = _error_payload("non-generic", exc)

@@ -35,15 +35,45 @@ from .rings import (
 class Budgets:
     """Hard resource limits for a Groebner run (degrees are cohomological)."""
 
-    max_basis: int = int(os.environ.get("KIRWAN_MAX_BASIS", "4000"))
-    max_degree: int = int(os.environ.get("KIRWAN_MAX_DEGREE", "160"))
+    max_basis: int = 4000
+    max_degree: int = 160
 
     def __post_init__(self):
         if self.max_basis <= 0 or self.max_degree <= 0:
             raise ValueError("budgets must be positive")
 
+    @classmethod
+    def from_env(cls) -> "Budgets":
+        """The defaults, overridden by KIRWAN_MAX_BASIS and KIRWAN_MAX_DEGREE.
 
-DEFAULT_BUDGETS = Budgets()
+        A set variable that is not a positive integer raises ValueError
+        naming it.
+        """
+        values = {}
+        for field, var in (("max_basis", "KIRWAN_MAX_BASIS"), ("max_degree", "KIRWAN_MAX_DEGREE")):
+            text = os.environ.get(var)
+            if text is None:
+                continue
+            try:
+                value = int(text)
+            except ValueError:
+                value = 0
+            if value <= 0:
+                raise ValueError(f"{var} must be a positive integer, not {text!r}")
+            values[field] = value
+        return cls(**values)
+
+
+def _default_budgets() -> Budgets:
+    # importing the package never fails on the environment; the CLI reports
+    # a malformed variable as a usage error before it computes anything
+    try:
+        return Budgets.from_env()
+    except ValueError:
+        return Budgets()
+
+
+DEFAULT_BUDGETS = _default_budgets()
 
 
 def _order_spec(order: MonomialOrder) -> tuple:

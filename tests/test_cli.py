@@ -264,15 +264,87 @@ def test_console_script_installed():
         f"import sys; from {module} import {func}; "
         f"sys.argv[0] = 'kirwan'; sys.exit({func}())"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, "-c", launcher, *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=_checkout_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 4
+
+
+# ---------------------------------------------------------------------------
+# budget environment variables, read when the CLI starts
+
+
+def _checkout_env(**variables) -> dict:
+    """os.environ with the checkout's src first on PYTHONPATH, the budget
+    variables cleared, then the given variables set."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("KIRWAN_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    env.update(variables)
+    return env
+
+
+def _run_module_cli(args, **variables):
+    launcher = "import sys; from kirwan.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", launcher, *args],
+        capture_output=True,
+        text=True,
+        env=_checkout_env(**variables),
+    )
+
+
+@pytest.mark.parametrize(
+    "var,value",
+    [
+        ("KIRWAN_MAX_BASIS", "abc"),
+        ("KIRWAN_MAX_BASIS", "0"),
+        ("KIRWAN_MAX_DEGREE", "-4"),
+        ("KIRWAN_MAX_DEGREE", ""),
+        ("KIRWAN_MAX_DEGREE", "1.5"),
+    ],
+)
+def test_bad_budget_env_is_usage_error(var, value):
+    proc = _run_module_cli(["shorts", "--xi", "1", "1", "1"], **{var: value})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    error = json.loads(proc.stderr)["error"]
+    assert error["kind"] == "usage"
+    assert var in error["message"]
+
+
+def test_import_ignores_bad_budget_env():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import kirwan; from kirwan.ideals import DEFAULT_BUDGETS as b; "
+         "print(b.max_basis, b.max_degree)"],
+        capture_output=True,
+        text=True,
+        env=_checkout_env(KIRWAN_MAX_BASIS="abc", KIRWAN_MAX_DEGREE="0"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["4000", "160"]
+
+
+def test_budget_env_sets_the_defaults():
+    proc = _run_module_cli(["verify", "--xi", "1", "1", "1", "2"], KIRWAN_MAX_BASIS="2")
+    assert proc.returncode == 4
+    error = json.loads(proc.stderr)["error"]
+    assert (error["which"], error["limit"]) == ("basis", 2)
+
+    proc = _run_module_cli(["report", "--xi", "1", "1", "1"], KIRWAN_MAX_DEGREE="150")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["budgets"] == {"max_basis": 4000, "max_degree": 150}
+
+
+def test_budget_flag_overrides_env():
+    proc = _run_module_cli(
+        ["report", "--xi", "1", "1", "1", "--max-basis", "3000"], KIRWAN_MAX_BASIS="2"
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["budgets"]["max_basis"] == 3000

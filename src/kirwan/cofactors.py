@@ -5,8 +5,9 @@ remembers its representation as a combination of the original generators, so
 a successful reduction of the target to zero yields explicit cofactors q_i
 with sum(q_i * g_i) = target, verified by expansion before returning.
 
-Fraction arithmetic on Polynomial throughout; this path backs certificate
-fallbacks and small-instance checks, not the hot engine.
+Fraction arithmetic on Polynomial throughout: a standalone utility for
+small-instance checks, used by no pipeline stage and kept apart from the
+main Groebner engine.
 """
 
 from __future__ import annotations

@@ -4,10 +4,11 @@ Edge lengths pick out the short subsets; those index the generators A_S,
 B_S on the torus side and C_S, D_S on the invariant side.  The equivariant
 ring is the invariant ambient modulo the annihilator of e = a2*(x^2 - a2),
 realized as the colon ideal (J : e) and checked against the predicted
-presentation by D-classes.  Every membership e*D_S in J is certified twice:
-by an explicit inductive combination following the peel recursion, and by
-Groebner reduction; the ordinary ring is recovered by killing x and
-compared against the independent degree-truncation model.
+presentation by D-classes.  Every membership e*D_S in J is certified by an
+explicit combination of C-classes built by the peel recursion of the
+Hausel-Proudfoot induction and checked once by expansion modulo the ring
+relations; the ordinary ring is recovered by killing x and compared against
+the independent degree-truncation model.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .abelianize import KirwanPresentation, RootDatum, verify_second_iso
-from .cofactors import express_in_ideal
 from .errors import NonGenericError, VerificationError
 from .ideals import Budgets, DEFAULT_BUDGETS, Ideal, QuotientRing, formality_check
 from .rings import Polynomial, VariableTable, parse_polynomial
@@ -133,7 +133,6 @@ class HyperpolygonInstance:
         self._D_cache: dict = {}
         self._J: Ideal | None = None
         self._I: Ideal | None = None
-        self._colon: Ideal | None = None
 
     # -- torus-side letters -------------------------------------------------
 
@@ -209,30 +208,7 @@ class HyperpolygonInstance:
         return self._D_cache[key]
 
 
-# -- public generator operations -------------------------------------------
-
-
-def gens_ABS(inst: HyperpolygonInstance, S: Iterable[int]) -> tuple:
-    S = frozenset(S)
-    if not inst.table.is_short(S):
-        raise ValueError(f"{sorted(S)} is not short")
-    return inst._AB(S, inst.n)
-
-
-def gens_C(inst: HyperpolygonInstance, S: Iterable[int]) -> Polynomial:
-    S = frozenset(S)
-    if not inst.table.is_short(S):
-        raise ValueError(f"{sorted(S)} is not short")
-    return inst.C(S)
-
-
-def gens_D(inst: HyperpolygonInstance, S: Iterable[int]) -> Polynomial:
-    S = frozenset(S)
-    if not S:
-        raise ValueError("D_S needs a nonempty subset")
-    if not inst.table.is_short(S):
-        raise ValueError(f"{sorted(S)} is not short")
-    return inst.D(S)
+# -- the ideals -------------------------------------------------------------
 
 
 def ideal_J(inst: HyperpolygonInstance) -> Ideal:
@@ -253,10 +229,8 @@ def ideal_I(inst: HyperpolygonInstance) -> Ideal:
 
 
 def annihilator_ideal(inst: HyperpolygonInstance) -> Ideal:
-    """(J : e), the certified colon ideal."""
-    if inst._colon is None:
-        inst._colon = ideal_J(inst).colon(inst.euler_e, budgets=inst.budgets)
-    return inst._colon
+    """(J : e), the certified colon ideal (memoized on J)."""
+    return ideal_J(inst).colon(inst.euler_e, budgets=inst.budgets)
 
 
 def d_presentation_ideal(inst: HyperpolygonInstance) -> Ideal:
@@ -282,8 +256,9 @@ def prop_hp(inst: HyperpolygonInstance) -> QuotientRing:
 class MembershipCertificate:
     """e*D_S as an explicit combination of C_T over short T contained in S.
 
-    The identity holds modulo the ring relations c_i^2 - a2; method records
-    whether the peel recursion or the reduction trace produced it.
+    The identity holds modulo the ring relations c_i^2 - a2.  method is
+    "recursion" for a certificate built here, or whatever a loaded payload
+    carries.
     """
 
     subset: frozenset
@@ -384,44 +359,23 @@ def _cert_recursion(inst: HyperpolygonInstance, S: frozenset, level: int) -> dic
 
 
 def certify_membership(inst: HyperpolygonInstance, S: Iterable[int]) -> MembershipCertificate:
-    """Two-path certificate construction; the result is always expansion-verified."""
+    """The peel-recursion certificate for e*D_S, verified by expansion.
+
+    A returned certificate has passed verify(); one that fails it raises
+    VerificationError.
+    """
     S = frozenset(S)
     if not S or not inst.table.is_short(S):
         raise ValueError(f"{sorted(S)} is not a nonempty short subset")
-    target = inst.euler_e * inst.D(S)
-    combination = None
-    method = "recursion"
-    try:
-        raw = _cert_recursion(inst, S, inst.n)
-        combination = tuple(
-            (T, coeff)
-            for T, coeff in sorted(raw.items(), key=lambda kv: (len(kv[0]), _canon(kv[0])))
-            if not coeff.is_zero()
-        )
-        cert = MembershipCertificate(S, target, combination, method)
-        if not cert.verify(inst):
-            combination = None
-    except VerificationError:
-        combination = None
-    if combination is None:
-        method = "trace"
-        subsets = [frozenset(T) for r in range(len(S) + 1) for T in combinations(_canon(S), r)]
-        gens = [inst.C(T) for T in subsets] + list(inst.relations_Q)
-        cofs = express_in_ideal(gens, target, budgets=inst.budgets)
-        if cofs is None:
-            raise VerificationError(
-                f"no certificate for {sorted(S)}: recursion and trace both failed"
-            )
-        combination = tuple(
-            (T, cof)
-            for T, cof in zip(subsets, cofs[: len(subsets)])
-            if not cof.is_zero()
-        )
-        cert = MembershipCertificate(S, target, combination, method)
-        if not cert.verify(inst):
-            raise VerificationError(
-                f"trace certificate for {sorted(S)} failed its expansion check"
-            )
+    raw = _cert_recursion(inst, S, inst.n)
+    combination = tuple(
+        (T, coeff)
+        for T, coeff in sorted(raw.items(), key=lambda kv: (len(kv[0]), _canon(kv[0])))
+        if not coeff.is_zero()
+    )
+    cert = MembershipCertificate(S, inst.euler_e * inst.D(S), combination, "recursion")
+    if not cert.verify(inst):
+        raise VerificationError(f"certificate for {sorted(S)} failed its expansion check")
     return cert
 
 
@@ -559,7 +513,7 @@ def _run_stage(name: str, fn, timings: dict | None = None):
 
 
 def full_report(lengths: EdgeLengths, budgets: Budgets | None = None,
-                with_certificates: bool = True, check_second_iso: bool = True) -> dict:
+                with_certificates: bool = True) -> dict:
     """Everything about one instance, as plain data; deterministic given
     lengths and budgets except for the "timings" block, which callers who
     need byte-stable output should drop.  Failures propagate with a .stage
@@ -607,9 +561,8 @@ def full_report(lengths: EdgeLengths, budgets: Budgets | None = None,
         certs = []
         for S in inst.table.nonempty_shorts():
             cert = _stage("certificates", lambda S=S: certify_membership(inst, S))
-            ok = _stage("certificates", lambda c=cert: c.verify(inst))
             payload = cert.to_dict()
-            payload["verified"] = ok
+            payload["verified"] = True  # certify_membership raises otherwise
             del payload["target"]
             certs.append(payload)
         report["certificates"] = certs
@@ -634,10 +587,9 @@ def full_report(lengths: EdgeLengths, budgets: Budgets | None = None,
     )
     report["bridge"] = _stage("bridge", lambda: bridge_check(inst))
 
-    if check_second_iso:
-        report["second_iso"] = _stage(
-            "second_iso", lambda: verify_second_iso(second_iso_presentation(inst), budgets=inst.budgets)
-        )
+    report["second_iso"] = _stage(
+        "second_iso", lambda: verify_second_iso(second_iso_presentation(inst), budgets=inst.budgets)
+    )
     report["timings"] = {name: round(t, 6) for name, t in sorted(timings.items())}
     from . import __version__
 

@@ -5,7 +5,9 @@ rank) that every ring presentation here is built on.
 Buchberger runs the normal pair-selection strategy (minimal weighted lcm
 degree, then lcm order key, then indices) with the product and chain
 criteria.  Every cached basis is re-verified against the S-criterion at cache
-fill; resource budgets raise hard errors rather than truncating.
+fill; resource budgets raise hard errors rather than truncating.  An ideal
+also keeps the colon ideals and sums derived from it, so each is computed
+(and certified) once however many callers ask for it.
 """
 
 from __future__ import annotations
@@ -256,6 +258,10 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._cache: dict = {}
+        # like the bases in _cache, derived ideals are kept regardless of the
+        # budgets they were computed under
+        self._colons: dict = {}
+        self._sums: dict = {}
 
     def __repr__(self) -> str:
         return f"Ideal({len(self.generators)} gens over {self.table!r})"
@@ -307,7 +313,11 @@ class Ideal:
         return self.contains_ideal(other, budgets) and other.contains_ideal(self, budgets)
 
     def sum_with(self, extra: Iterable[Polynomial]) -> "Ideal":
-        return Ideal(self.table, list(self.generators) + list(extra), self.order)
+        """I + ⟨extra⟩, memoized per tuple of extra generators."""
+        extra = tuple(extra)
+        if extra not in self._sums:
+            self._sums[extra] = Ideal(self.table, self.generators + extra, self.order)
+        return self._sums[extra]
 
     # -- elimination-based operations --------------------------------------
 
@@ -356,11 +366,13 @@ class Ideal:
         """(I : f) via intersect(I, ⟨f⟩) followed by exact division by f.
 
         Inexact division signals a bug, never bad input.  The result is
-        certified before being returned: every generator times f reduces to
-        zero modulo I, and I is contained in the result.
+        certified before it is memoized per divisor: every generator times f
+        reduces to zero modulo I, and I is contained in the result.
         """
         if f.is_zero():
             raise ZeroDivisionError("colon by the zero polynomial")
+        if f in self._colons:
+            return self._colons[f]
         inter = self.intersect(Ideal(self.table, [f], self.order), budgets)
         quots = [g.exact_divide(f) for g in inter.groebner_basis(budgets=budgets)]
         result = Ideal(self.table, quots, self.order)
@@ -369,6 +381,7 @@ class Ideal:
                 raise VerificationError("colon generator times f is not in the ideal")
         if not result.contains_ideal(self, budgets):
             raise VerificationError("colon result does not contain the ideal")
+        self._colons[f] = result
         return result
 
     # -- serialization ------------------------------------------------------

@@ -282,13 +282,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(e) for e, _ in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return self.terms[0][1]
-
     def coefficient(self, exps: Exponents) -> Fraction:
         for e, c in self.terms:
             if e == tuple(exps):

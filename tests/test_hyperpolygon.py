@@ -1,10 +1,13 @@
 import json
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 
 import jsonschema
 import pytest
 
+import kirwan
+from kirwan import cli, cofactors, hyperpolygon, ideals
 from kirwan.abelianize import class_b, class_e, class_eprime
 from kirwan.errors import NonGenericError, VerificationError
 from kirwan.hyperpolygon import (
@@ -209,9 +212,69 @@ def test_certificates_all_shorts(inst4):
     for S in inst4.table.nonempty_shorts():
         cert = certify_membership(inst4, S)
         assert cert.verify(inst4)
-        assert cert.method in ("recursion", "trace")
+        assert cert.method == "recursion"
         for T, _ in cert.combination:
             assert inst4.table.is_short(T) and T <= frozenset(S)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_recursion_certifies_every_subset(n):
+    # xi_i = 2^i on S and 2^(n+1+i) off it: S is short, every subset sum is
+    # distinct (so xi is generic), and every nonempty proper S occurs.  The
+    # recursion depends on xi only through which subsets are short.
+    for r in range(1, n):
+        for S in combinations(range(1, n + 1), r):
+            S = frozenset(S)
+            xi = [2 ** i if i in S else 2 ** (n + 1 + i) for i in range(1, n + 1)]
+            inst = HyperpolygonInstance(EdgeLengths(xi))
+            cert = certify_membership(inst, S)
+            assert cert.method == "recursion"
+            assert all(T <= S for T, _ in cert.combination)
+
+
+@pytest.fixture
+def dropped_term(monkeypatch):
+    """Drop one term from the outermost recursion result (inner calls go
+    through the same name); returns the list of express_in_ideal calls."""
+    real = hyperpolygon._cert_recursion
+    depth = [0]
+
+    def recursion(inst, S, level):
+        depth[0] += 1
+        try:
+            out = dict(real(inst, S, level))
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:
+            del out[max(out, key=lambda T: (len(T), sorted(T)))]
+        return out
+
+    calls = []
+    express = cofactors.express_in_ideal
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return express(*args, **kwargs)
+
+    monkeypatch.setattr(hyperpolygon, "_cert_recursion", recursion)
+    for module in (kirwan, cofactors, hyperpolygon):
+        monkeypatch.setattr(module, "express_in_ideal", spy, raising=False)
+    return calls
+
+
+def test_broken_recursion_raises(inst3, dropped_term):
+    with pytest.raises(VerificationError):
+        certify_membership(inst3, {3})
+    assert dropped_term == []
+
+
+def test_broken_recursion_cli_exit(capsys, dropped_term):
+    code = cli.main(["certify", "--xi", "1", "1", "1", "--subset", "3"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "verification"
+    assert dropped_term == []
 
 
 def test_certificate_roundtrip(inst4):
@@ -292,6 +355,35 @@ def test_report_contents(report4):
     assert all(c["verified"] for c in report4["certificates"])
     assert report4["formality"] == {"ring_J": True, "ring_colon": True}
     assert set(report4["timings"])
+
+
+def test_report_computes_each_thing_once(monkeypatch):
+    # every Groebner run has a distinct input, (J : e) and (I : e') are each
+    # formed once, and each certificate is verified once
+    runs = []
+    real_gb = ideals._buchberger
+
+    def buchberger(generators, order, budgets):
+        runs.append((tuple(g.terms for g in generators), order))
+        return real_gb(generators, order, budgets)
+
+    counts = {"intersect": 0, "verify": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ideals, "_buchberger", buchberger)
+    monkeypatch.setattr(Ideal, "intersect", counted("intersect", Ideal.intersect))
+    monkeypatch.setattr(
+        MembershipCertificate, "verify", counted("verify", MembershipCertificate.verify)
+    )
+    report = full_report(EdgeLengths([1, 1, 1, 2]))
+    assert runs and len(set(runs)) == len(runs), f"{len(runs)} runs, {len(set(runs))} distinct"
+    assert counts["intersect"] == 2
+    assert counts["verify"] == len(report["certificates"]) == 7
 
 
 def test_report_stage_attribution():

@@ -127,8 +127,10 @@ def key_of(spec, mono):
     return sum(map(mul, mono, _layout(spec)))
 
 
-def _kp_from_terms(terms, n):
-    """KP from (-key, packed mono, coef) triples, ascending in -key."""
+def kp_from_terms(terms, n):
+    """KP from (-key, packed mono, coef) triples, ascending in -key; None if
+    empty.  The coefficients are divided by their content, signed so that
+    the head is positive."""
     if not terms:
         return None
     g = 0
@@ -159,14 +161,7 @@ def kp_make(iterms, spec):
         _check(m)
         terms.append((-sum(map(mul, m, kc)), _pack(m), c))
     terms.sort()
-    return _kp_from_terms(terms, len(kc))
-
-
-def kp_iterms(kp):
-    if kp is None:
-        return []
-    n = len(kp[1])
-    return [(kp[1], kp[2])] + [(_unpack(pm, n), c) for _, pm, c in kp[3]]
+    return kp_from_terms(terms, len(kc))
 
 
 def kp_lt(kp):
@@ -198,7 +193,7 @@ def kp_spoly(f, g, spec):
             else:
                 coefs[k] = c + tc * mult
     terms = [(k, monos[k], c) for k, c in sorted(coefs.items()) if c]
-    return _kp_from_terms(terms, len(lcm))
+    return kp_from_terms(terms, len(lcm))
 
 
 def kp_normal_form(target, reducers, spec):
@@ -208,8 +203,9 @@ def kp_normal_form(target, reducers, spec):
     divides the working head.  A pseudo-step multiplies the remaining work by
     the reducer's leading coefficient over its gcd with the head coefficient,
     and the tracked denominator absorbs it.  Returns (num, den, terms):
-    value = (num/den) * terms, terms integer-primitive in descending order,
-    num, den > 0 coprime; (1, 1, []) for zero.
+    value = (num/den) * terms, terms integer-primitive (-key, packed mono,
+    coef) triples in descending order, as in a KP tail; num, den > 0
+    coprime; (1, 1, []) for zero.
     """
     if target is None:
         return 1, 1, []
@@ -225,7 +221,7 @@ def kp_normal_form(target, reducers, spec):
         coefs[tk] = tc
         monos[tk] = tm
     den = 1
-    out = []  # (packed mono, coef, den at the time): value coef / den
+    out = []  # (-key, packed mono, coef, den at the time): value coef / den
     while heap:
         nk = heappop(heap)
         c0 = coefs.pop(nk)
@@ -236,7 +232,7 @@ def kp_normal_form(target, reducers, spec):
             if not (pm - r[4]) & mask:
                 break
         else:
-            out.append((pm, c0, den))
+            out.append((nk, pm, c0, den))
             continue
         rc = r[2]
         g = gcd(c0, rc)
@@ -262,8 +258,8 @@ def kp_normal_form(target, reducers, spec):
                 coefs[k] = c + f * tc
     if not out:
         return 1, 1, []
-    ints = [c if d == den else c * (den // d) for _, c, d in out]
+    ints = [c if d == den else c * (den // d) for _, _, c, d in out]
     num = gcd(*ints)
-    terms = [(_unpack(pm, n), v // num) for (pm, _, _), v in zip(out, ints)]
+    terms = [(nk, pm, v // num) for (nk, pm, _, _), v in zip(out, ints)]
     g = gcd(num, den)
     return num // g, den // g, terms

@@ -20,6 +20,13 @@ from .ideals import Budgets, QuotientRing
 from .rings import Polynomial, VariableTable, parse_polynomial
 
 
+def _fields(text: str) -> dict:
+    """`key: value` lines, skipping blank lines and #-comments."""
+    lines = (line.strip() for line in text.splitlines())
+    pairs = (line.partition(":") for line in lines if line and not line.startswith("#"))
+    return {key.strip(): value.strip() for key, _, value in pairs}
+
+
 class RootDatum:
     """A torus with a finite symmetric root set, given by its positive half.
 
@@ -54,13 +61,7 @@ class RootDatum:
 
         Blank lines and #-comments are skipped; roots are separated by ;.
         """
-        fields: dict = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition(":")
-            fields[key.strip()] = value.strip()
+        fields = _fields(text)
         names = fields.get("variables", "").split()
         if not names:
             raise ValueError("no torus variables declared")
@@ -270,13 +271,7 @@ class DagQuiver:
     @classmethod
     def from_text(cls, text: str) -> "DagQuiver":
         """Two keys: `vertices: a b c` and `edges: a -> b; b -> c`."""
-        fields: dict = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition(":")
-            fields[key.strip()] = value.strip()
+        fields = _fields(text)
         vertices = fields.get("vertices", "").split()
         edges = []
         for chunk in fields.get("edges", "").split(";"):

@@ -133,10 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _fmt_rf(r: RationalFunction) -> str:
-    return format_rational_function(r)
-
-
 def _demo_line(fx) -> tuple:
     model = fx.model
     one = model.one()
@@ -152,7 +148,7 @@ def _demo_line(fx) -> tuple:
     payload = {
         "fixture": "line",
         "checks": checks,
-        "gram_determinant": _fmt_rf(
+        "gram_determinant": format_rational_function(
             linalg.det(gram, RationalFunction.zero(), RationalFunction.one())
         ),
     }
@@ -222,24 +218,22 @@ def _cmd_localize_demo(args) -> tuple:
     return _demo_segre(fx)
 
 
-def _cmd_shorts(args) -> tuple:
+def _instance(args) -> tuple:
+    """The instance named by --xi, and the payload head naming it."""
     inst = HyperpolygonInstance(EdgeLengths(_parse_xi(args.xi)), budgets=args.budgets)
-    payload = {
-        "n": inst.n,
-        "xi": [str(v) for v in inst.lengths.xi],
-        "count": len(inst.table.shorts),
-        "subsets": [sorted(S) for S in inst.table.shorts],
-    }
+    return inst, {"n": inst.n, "xi": [str(v) for v in inst.lengths.xi]}
+
+
+def _cmd_shorts(args) -> tuple:
+    inst, payload = _instance(args)
+    payload["count"] = len(inst.table.shorts)
+    payload["subsets"] = [sorted(S) for S in inst.table.shorts]
     return payload, True
 
 
 def _cmd_present(args) -> tuple:
-    inst = HyperpolygonInstance(EdgeLengths(_parse_xi(args.xi)), budgets=args.budgets)
-    payload = {
-        "n": inst.n,
-        "xi": [str(v) for v in inst.lengths.xi],
-        "presentation": presentation_summary(inst),
-    }
+    inst, payload = _instance(args)
+    payload["presentation"] = presentation_summary(inst)
     return payload, True
 
 
@@ -275,7 +269,7 @@ def _cmd_verify(args) -> tuple:
 
 
 def _cmd_certify(args) -> tuple:
-    inst = HyperpolygonInstance(EdgeLengths(_parse_xi(args.xi)), budgets=args.budgets)
+    inst, payload = _instance(args)
     if args.subset is not None:
         subsets = [_parse_subset(args.subset)]
         if not subsets[0]:
@@ -287,29 +281,19 @@ def _cmd_certify(args) -> tuple:
         entry = certify_membership(inst, S).to_dict()
         entry["verified"] = True  # certify_membership raises otherwise
         certs.append(entry)
-    payload = {
-        "n": inst.n,
-        "xi": [str(v) for v in inst.lengths.xi],
-        "certificates": certs,
-    }
+    payload["certificates"] = certs
     return payload, True
 
 
 def _cmd_betti(args) -> tuple:
     from .hyperpolygon import betti_numbers, konno_ring
 
-    inst = HyperpolygonInstance(EdgeLengths(_parse_xi(args.xi)), budgets=args.budgets)
+    inst, payload = _instance(args)
     betti = betti_numbers(inst)
     konno = konno_ring(inst.n, budgets=inst.budgets)
     top = konno.top_degree()
     kdims = [konno.graded_dimension(d) for d in range(0, top + 1, 2)]
-    payload = {
-        "n": inst.n,
-        "xi": [str(v) for v in inst.lengths.xi],
-        "betti": betti,
-        "truncation_model": kdims,
-        "agrees": betti == kdims,
-    }
+    payload.update(betti=betti, truncation_model=kdims, agrees=betti == kdims)
     return payload, payload["agrees"]
 
 

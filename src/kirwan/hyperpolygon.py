@@ -165,14 +165,13 @@ class HyperpolygonInstance:
     def _even_to_Q(self, p: Polynomial) -> Polynomial:
         """Rewrite an even-in-a polynomial into the a2 ambient (a^2 -> a2)."""
         ai = self.table_P.index("a")
-        terms = []
-        for exps, coef in p.terms:
+
+        def halve(exps):
             if exps[ai] % 2:
                 raise VerificationError("odd powers of a failed to cancel")
-            e = list(exps)
-            e[ai] //= 2
-            terms.append((tuple(e), coef))
-        return Polynomial(self.table_Q, terms)
+            return exps[:ai] + (exps[ai] // 2,) + exps[ai + 1:]
+
+        return p.map_monomials(self.table_Q, halve)
 
     def C(self, S: Iterable[int], level: int | None = None) -> Polynomial:
         level = self.n if level is None else level

@@ -16,7 +16,6 @@ import heapq
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import _kernel as K
@@ -27,7 +26,6 @@ from .rings import (
     MonomialOrder,
     Polynomial,
     VariableTable,
-    mono_divides,
     order_from_descriptor,
     parse_polynomial,
 )
@@ -88,27 +86,30 @@ def _order_spec(order: MonomialOrder) -> tuple:
     return ("block", desc["front"], table.weights)
 
 
-def _primitive(p: Polynomial) -> tuple:
-    """(scale, iterms): p = scale * iterms with iterms integer, content 1."""
-    den = 1
-    for _, c in p.terms:
-        den = lcm(den, c.denominator)
-    nums = [(m, int(c * den)) for m, c in p.terms]
-    g = 0
-    for _, v in nums:
-        g = gcd(g, v)
-    if g == 0:
-        return Fraction(0), []
-    return Fraction(g, den), [(m, v // g) for m, v in nums]
+def _kp(p: Polynomial, spec: tuple) -> tuple:
+    """(kp, sign): p = sign * p.scale * kp, kp nonzero p's kernel form in spec.
+
+    A polynomial's terms already are a kernel tail for its table's grevlex.
+    """
+    t = p.packed
+    table = p.table
+    if spec == table.spec:
+        k, m, c = t[0]
+        return (-k, table.unpack(m), c, t[1:], m), 1
+    kp = K.kp_make([(table.unpack(m), c) for _, m, c in t], spec)
+    return kp, (1 if (kp[4], kp[2]) in {(m, c) for _, m, c in t} else -1)
 
 
-def _to_polynomial(table: VariableTable, scale: Fraction, iterms) -> Polynomial:
-    return Polynomial(table, [(m, scale * c) for m, c in iterms])
+def _polynomial(table: VariableTable, terms, scale: Fraction, spec: tuple) -> Polynomial:
+    """scale * terms, kernel triples descending in spec (re-keyed unless
+    spec is the table's grevlex)."""
+    if spec != table.spec:
+        terms = sorted(table.packed_monomial(table.unpack(m)) + (c,) for _, m, c in terms)
+    return Polynomial.from_packed(table, terms, scale)
 
 
 @dataclass(frozen=True)
 class GBData:
-    polys: tuple
     kps: tuple
     spec: tuple
     lts: tuple  # leading monomials, ascending
@@ -120,15 +121,10 @@ def _buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     spec = _order_spec(order)
     weights = table.weights
     wcap = budgets.max_degree // 2
+    nvars = len(table)
+    mask = table.guard_mask
 
-    basis: list = []
-    for g in generators:
-        if g.is_zero():
-            continue
-        _, iterms = _primitive(g)
-        kp = K.kp_make(iterms, spec)
-        if kp is not None:
-            basis.append(kp)
+    basis = [_kp(g, spec)[0] for g in generators if not g.is_zero()]
 
     def wdeg(mono) -> int:
         return sum(e * w for e, w in zip(mono, weights))
@@ -157,17 +153,18 @@ def _buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
             continue
         done.add((i, j))
         fi, fj = basis[i], basis[j]
-        lcm_m = tuple(max(a, b) for a, b in zip(fi[1], fj[1]))
         # product criterion: coprime leading monomials reduce to zero for free
         if all(a == 0 or b == 0 for a, b in zip(fi[1], fj[1])):
             continue
         # chain criterion: a third element divides the lcm and both its pairs
-        # with i and j are already settled
+        # with i and j are already settled (packed: h | lcm iff no field of
+        # lcm - h borrows into its guard bit)
+        lcm_p = table.pack(tuple(map(max, fi[1], fj[1])))
         skip = False
-        for k in range(len(basis)):
+        for k, h in enumerate(basis):
             if k == i or k == j:
                 continue
-            if mono_divides(basis[k][1], lcm_m):
+            if not (lcm_p - h[4]) & mask:
                 ik = (min(i, k), max(i, k))
                 jk = (min(j, k), max(j, k))
                 if ik in done and jk in done:
@@ -181,7 +178,7 @@ def _buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
         _, _, nf = K.kp_normal_form(s, basis, spec)
         if not nf:
             continue
-        kp = K.kp_make(nf, spec)
+        kp = K.kp_from_terms(nf, nvars)
         d = wdeg(kp[1])
         if d > wcap:
             raise BudgetExceeded(
@@ -199,7 +196,7 @@ def _buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     # minimalize: ascending leading terms, drop anything an earlier one divides
     minimal: list = []
     for kp in sorted(basis, key=lambda t: t[0]):
-        if not any(mono_divides(h[1], kp[1]) for h in minimal):
+        if not any(not (kp[4] - h[4]) & mask for h in minimal):
             minimal.append(kp)
 
     # tail-reduce sequentially; leading terms are pairwise non-divisible so
@@ -209,17 +206,12 @@ def _buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
         if not others:
             continue
         _, _, nf = K.kp_normal_form(minimal[idx], others, spec)
-        kp = K.kp_make(nf, spec)
+        kp = K.kp_from_terms(nf, nvars)
         if kp[1] != minimal[idx][1]:
             raise VerificationError("tail reduction disturbed a leading term")
         minimal[idx] = kp
 
-    polys = tuple(
-        Polynomial(table, [(m, Fraction(c, kp[2])) for m, c in K.kp_iterms(kp)])
-        for kp in minimal
-    )
-    return GBData(polys=polys, kps=tuple(minimal), spec=spec,
-                  lts=tuple(kp[1] for kp in minimal))
+    return GBData(kps=tuple(minimal), spec=spec, lts=tuple(kp[1] for kp in minimal))
 
 
 def _verify_s_criterion(data: GBData) -> None:
@@ -286,21 +278,20 @@ class Ideal:
     def groebner_basis(self, order: MonomialOrder | None = None,
                        budgets: Budgets | None = None) -> tuple:
         """The reduced Groebner basis: monic, inter-reduced, ascending."""
-        return self._gb(order, budgets).polys
+        data = self._gb(order, budgets)
+        return tuple(
+            _polynomial(self.table, ((-kp[0], kp[4], kp[2]),) + kp[3], Fraction(1, kp[2]), data.spec)
+            for kp in data.kps
+        )
 
     def normal_form(self, p: Polynomial, order: MonomialOrder | None = None,
                     budgets: Budgets | None = None) -> Polynomial:
         if p.table != self.table:
             raise ValueError("polynomial from a different table")
         data = self._gb(order, budgets)
-        scale, iterms = _primitive(p)
-        kp = K.kp_make(iterms, data.spec)
-        if kp is not None:
-            # kp_make normalizes to a positive head; recover the stripped sign
-            if dict(iterms).get(kp[1], 0) < 0:
-                scale = -scale
-        sn, sd, nf = K.kp_normal_form(kp, list(data.kps), data.spec)
-        return _to_polynomial(self.table, scale * Fraction(sn, sd), nf)
+        kp, sign = _kp(p, data.spec) if p else (None, 1)
+        sn, sd, nf = K.kp_normal_form(kp, data.kps, data.spec)
+        return _polynomial(self.table, nf, Fraction(sign * sn, sd) * p.scale, data.spec)
 
     def contains(self, p: Polynomial, budgets: Budgets | None = None) -> bool:
         return self.normal_form(p, budgets=budgets).is_zero()
@@ -345,20 +336,19 @@ class Ideal:
         data = _buchberger(gens, BlockOrder(ext, 1), budgets or DEFAULT_BUDGETS)
         # a t-free leading term forces the whole element t-free under the
         # block order, and the restriction of the reduced extended basis is
-        # the reduced basis of the intersection for this table's grevlex
+        # the reduced basis of the intersection for this table's grevlex:
+        # dropping the tag's zero field keeps each element's term order
         kept = [
-            Polynomial(self.table, [(m[1:], c) for m, c in g.terms])
-            for g in data.polys
-            if g.leading_monomial(BlockOrder(ext, 1))[0] == 0
+            Polynomial.from_packed(self.table, [
+                self.table.packed_monomial(ext.unpack(m)[1:]) + (c,)
+                for _, m, c in ((-kp[0], kp[4], kp[2]),) + kp[3]
+            ], Fraction(1, kp[2]))
+            for kp in data.kps
+            if kp[1][0] == 0
         ]
         result = Ideal(self.table, kept, GrevlexOrder(self.table))
-        spec = _order_spec(result.order)
-        kps = []
-        for g in kept:
-            _, iterms = _primitive(g)
-            kps.append(K.kp_make(iterms, spec))
-        rdata = GBData(polys=tuple(kept), kps=tuple(kps), spec=spec,
-                       lts=tuple(kp[1] for kp in kps))
+        kps = tuple(_kp(g, self.table.spec)[0] for g in kept)
+        rdata = GBData(kps=kps, spec=self.table.spec, lts=tuple(kp[1] for kp in kps))
         result._fill(result.order, rdata)
         return result
 
@@ -465,6 +455,20 @@ def _std_monomials_of_weight(lts: Sequence, weights: Sequence[int], w: int) -> l
     return out
 
 
+def _pure_power_bound(lts: Sequence, weights: Sequence[int]) -> int | None:
+    """Σ (p_i - 1)·w_i over the least pure powers x_i^p_i among lts, a bound
+    on the weight of every standard monomial; None if some x_i has none."""
+    pure: list = [None] * len(weights)
+    for m in lts:
+        support = [i for i, e in enumerate(m) if e]
+        if len(support) == 1:
+            i = support[0]
+            pure[i] = m[i] if pure[i] is None else min(pure[i], m[i])
+    if None in pure:
+        return None
+    return sum((p - 1) * w for p, w in zip(pure, weights))
+
+
 class QuotientRing:
     """A presented graded quotient with lazy standard-monomial bookkeeping."""
 
@@ -507,13 +511,8 @@ class QuotientRing:
     def is_cofinite(self) -> bool:
         """True when every variable has a pure power among the leading terms."""
         lts = self._lts()
-        if any(not any(m) for m in lts):
-            return True  # unit ideal
-        n = len(self.table)
-        for i in range(n):
-            if not any(m[i] and all(e == 0 for j, e in enumerate(m) if j != i) for m in lts):
-                return False
-        return True
+        # the unit ideal counts as cofinite
+        return any(not any(m) for m in lts) or _pure_power_bound(lts, self.table.weights) is not None
 
     def top_degree(self) -> int:
         """Largest degree with a standard monomial (cofinite quotients only)."""
@@ -522,19 +521,10 @@ class QuotientRing:
         lts = self._lts()
         if any(not any(m) for m in lts):
             return -1  # zero ring: no standard monomials at all
-        n = len(self.table)
-        bound = 0
-        for i in range(n):
-            pure = min(
-                m[i] for m in lts if m[i] and all(e == 0 for j, e in enumerate(m) if j != i)
-            )
-            bound += (pure - 1) * self.table.weights[i]
-        top = -1
-        for w in range(bound, -1, -1):
+        for w in range(_pure_power_bound(lts, self.table.weights), -1, -1):
             if _std_monomials_of_weight(lts, self.table.weights, w):
-                top = 2 * w
-                break
-        return top
+                return 2 * w
+        return -1
 
     def total_dimension(self) -> int:
         top = self.top_degree()
@@ -566,28 +556,13 @@ class QuotientRing:
         order = BlockOrder(self.table, n - 1)
         data = self.ideal._gb(order, self.budgets)
         ylts = [m[:-1] for m in data.lts]
-        minimal: list = []
-        for m in sorted(ylts):
-            if not any(mono_divides(h, m) for h in minimal):
-                minimal.append(m)
-        if any(not any(m) for m in minimal):
+        if any(not any(m) for m in ylts):
             return 0
         yweights = self.table.weights[:-1]
-        for i in range(n - 1):
-            if not any(
-                m[i] and all(e == 0 for j, e in enumerate(m) if j != i) for m in minimal
-            ):
-                raise ValueError("localized module has infinite rank")
-        bound = 0
-        for i in range(n - 1):
-            pure = min(
-                m[i] for m in minimal if m[i] and all(e == 0 for j, e in enumerate(m) if j != i)
-            )
-            bound += (pure - 1) * yweights[i]
-        total = 0
-        for w in range(bound + 1):
-            total += len(_std_monomials_of_weight(minimal, yweights, w))
-        return total
+        bound = _pure_power_bound(ylts, yweights)
+        if bound is None:
+            raise ValueError("localized module has infinite rank")
+        return sum(len(_std_monomials_of_weight(ylts, yweights, w)) for w in range(bound + 1))
 
 
 def formality_check(ring: QuotientRing, xname: str = "x", slack: int = 3) -> bool:

@@ -8,14 +8,24 @@ Monomial orders are additive: each order maps an exponent vector to a key tuple
 with key(m1*m2) = key(m1) + key(m2) componentwise, and comparison is
 lexicographic on keys.  That one property is what the Groebner engine and the
 elimination arguments rely on, so new orders only need to supply a key.
+
+A Polynomial stores what the reduction kernel (`_kernel.pure`) works on: integer
+(-key, packed monomial, coefficient) triples in descending grevlex order and one
+Fraction scale.  Keys and packed monomials add under multiplication, so the
+arithmetic is integer work on the triples (Monagan & Pearce, CASC 2007), and the
+Groebner engine passes them to the kernel as they are.  Exponents past EXP_MAX
+(32767) raise OverflowError.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
+from ._kernel.pure import _check, _exponent_error, _layout, _pack, _packer, _unpack
 from .errors import InexactDivisionError, ParseError
 
 Exponents = tuple  # tuple[int, ...], one slot per table variable
@@ -37,14 +47,11 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 class VariableTable:
-    """Immutable ordered list of named variables with even cohomological degrees."""
+    """Immutable ordered list of named variables with even cohomological degrees;
+    `spec` names its grevlex order for the kernel, `guard_mask` its guard bits."""
 
-    __slots__ = ("names", "degrees", "_index", "weights", "_hash")
+    __slots__ = ("names", "degrees", "_index", "weights", "_hash", "spec", "guard_mask", "_key")
 
     def __init__(self, names: Sequence[str], degrees: Sequence[int] | None = None):
         names = tuple(names)
@@ -67,6 +74,9 @@ class VariableTable:
         self.weights = tuple(d // 2 for d in degrees)
         self._index = {n: i for i, n in enumerate(names)}
         self._hash = hash((names, degrees))
+        self.spec = ("grevlex", self.weights)
+        self.guard_mask = _packer(len(names))[1]
+        self._key = _layout(self.spec)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -116,6 +126,18 @@ class VariableTable:
         e = [0] * len(self.names)
         e[self.index(name)] = 1
         return tuple(e)
+
+    def pack(self, exps: Sequence[int]) -> int:
+        """The exponent vector as one packed int; OverflowError past EXP_MAX."""
+        _check(exps)
+        return _pack(exps)
+
+    def unpack(self, packed: int) -> Exponents:
+        return _unpack(packed, len(self.names))
+
+    def packed_monomial(self, exps: Sequence[int]) -> tuple:
+        """(-grevlex key, packed int) of an exponent vector."""
+        return -sum(map(mul, exps, self._key)), self.pack(exps)
 
 
 class MonomialOrder:
@@ -220,43 +242,93 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-class Polynomial:
-    """Immutable polynomial: canonical term tuple sorted by grevlex, descending.
+_CONSTANT_TERMS = ((0, 0, 1),)
+_ZERO = Fraction(0)
+_set = object.__setattr__
 
-    Terms are (exponents, Fraction) pairs with nonzero coefficients; equality
-    and hash follow from the canonical form.  All arithmetic is exact.
+
+def _make(table: VariableTable, packed: tuple, scale: Fraction) -> "Polynomial":
+    """A Polynomial from terms already in canonical form."""
+    p = object.__new__(Polynomial)
+    _set(p, "table", table)
+    _set(p, "packed", packed)
+    _set(p, "scale", scale)
+    return p
+
+
+def _canonical(table: VariableTable, terms: list, scale: Fraction) -> "Polynomial":
+    """scale * terms, sorted triples with nonzero coefficients, made canonical."""
+    if not terms:
+        return _make(table, (), _ZERO)
+    g = gcd(*[c for _, _, c in terms])
+    if terms[0][2] < 0:
+        g = -g
+    if g != 1:
+        terms = [(k, m, c // g) for k, m, c in terms]
+        scale = scale * g
+    return _make(table, tuple(terms), scale)
+
+
+def _collect(table: VariableTable, blocks, scale: Fraction) -> "Polynomial":
+    """scale * Σ f·x^dm·terms over (dk, dm, f, terms) blocks, where terms are
+    (-key, packed, int) triples in any order and dk is the -key of x^dm."""
+    acc: dict = {}
+    monos: dict = {}
+    mask = table.guard_mask
+    for dk, dm, f, terms in blocks:
+        for k, m, c in terms:
+            k += dk
+            v = acc.get(k)
+            if v is None:
+                m += dm
+                if m & mask:
+                    raise _exponent_error("a result term")
+                acc[k] = c * f
+                monos[k] = m
+            else:
+                acc[k] = v + c * f
+    return _canonical(table, [(k, monos[k], v) for k, v in sorted(acc.items()) if v], scale)
+
+
+def _sum(table: VariableTable, parts) -> "Polynomial":
+    """The sum of s * terms over (Fraction s, packed terms) parts."""
+    den = lcm(*[s.denominator for s, _ in parts])
+    return _collect(table, [(0, 0, s.numerator * (den // s.denominator), t) for s, t in parts],
+                    Fraction(1, den))
+
+
+class Polynomial:
+    """Immutable polynomial: scale * Σ c·x^m with integer c.
+
+    `packed` holds (-key, packed monomial, int coef) triples in descending
+    grevlex order, the layout of a kernel tail; its coefficients have
+    content 1 and a positive head, and `scale` is one nonzero Fraction
+    (zero is `()` with scale 0).  That form is canonical, so equality and
+    hash are structural.  `terms` is the (exponents, Fraction) view.
     """
 
-    __slots__ = ("table", "terms", "_hash")
+    __slots__ = ("table", "packed", "scale")
 
-    def __init__(self, table: VariableTable, terms: Iterable[tuple]):
+    def __new__(cls, table: VariableTable, terms: Iterable[tuple]):
         acc: dict = {}
-        nvars = len(table)
         for exps, coef in terms:
             exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars:
+            if len(exps) != len(table):
                 raise ValueError(f"exponent vector {exps} does not fit {table!r}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            c = acc.get(exps, 0) + Fraction(coef)
-            if c:
-                acc[exps] = c
-            elif exps in acc:
-                del acc[exps]
-        weights = table.weights
-        object.__setattr__(self, "table", table)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(sorted(acc.items(), key=lambda t: _grevlex_key(t[0], weights), reverse=True)),
-        )
-        object.__setattr__(self, "_hash", None)
+            acc[exps] = acc.get(exps, 0) + Fraction(coef)
+        den = lcm(*[c.denominator for c in acc.values()])
+        return _collect(table, [(0, 0, 1, [
+            table.packed_monomial(e) + (c.numerator * (den // c.denominator),)
+            for e, c in acc.items()
+        ])], Fraction(1, den))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, table: VariableTable) -> "Polynomial":
-        return cls(table, ())
+        return _make(table, (), _ZERO)
 
     @classmethod
     def one(cls, table: VariableTable) -> "Polynomial":
@@ -264,38 +336,38 @@ class Polynomial:
 
     @classmethod
     def constant(cls, table: VariableTable, value: Coefficient) -> "Polynomial":
-        return cls(table, [((0,) * len(table), Fraction(value))])
+        q = Fraction(value)
+        return _make(table, _CONSTANT_TERMS if q else (), q)
 
     @classmethod
     def variable(cls, table: VariableTable, name: str) -> "Polynomial":
-        return cls(table, [(table.unit_exponents(name), Fraction(1))])
+        return _make(table, (table.packed_monomial(table.unit_exponents(name)) + (1,),), Fraction(1))
 
     @classmethod
-    def variables(cls, table: VariableTable) -> "tuple[Polynomial, ...]":
-        return tuple(cls.variable(table, n) for n in table.names)
+    def from_packed(cls, table: VariableTable, terms, scale: Coefficient = 1) -> "Polynomial":
+        """scale * terms from (-key, packed, int coef) triples strictly
+        ascending in the table's grevlex -key, of any content and sign."""
+        return _canonical(table, list(terms), Fraction(scale))
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def terms(self) -> tuple:
+        """(exponents, Fraction) pairs in descending grevlex order, built on
+        each access."""
+        unpack = self.table.unpack
+        return tuple((unpack(m), self.scale * c) for _, m, c in self.packed)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e, _ in self.terms)
-
-    def coefficient(self, exps: Exponents) -> Fraction:
-        for e, c in self.terms:
-            if e == tuple(exps):
-                return c
-        return Fraction(0)
-
-    def monomials(self) -> "tuple[Exponents, ...]":
-        return tuple(e for e, _ in self.terms)
+    def _weight(self, packed_mono: int) -> int:
+        return self.table.weighted_degree(self.table.unpack(packed_mono))
 
     def weighted_degree(self) -> int | None:
         """Algebraic (weight) degree, None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(self.table.weighted_degree(e) for e, _ in self.terms)
+        # grevlex compares weighted degree first, so the head has the largest
+        return self._weight(self.packed[0][1]) if self.packed else None
 
     def degree(self) -> int | None:
         """Cohomological degree: twice the weight degree."""
@@ -303,24 +375,17 @@ class Polynomial:
         return None if w is None else 2 * w
 
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        degs = {self.table.weighted_degree(e) for e, _ in self.terms}
-        return len(degs) == 1
+        t = self.packed
+        return not t or self._weight(t[0][1]) == self._weight(t[-1][1])
 
     def homogeneous_component(self, degree: int) -> "Polynomial":
         """Terms of the given cohomological degree."""
-        if degree % 2:
-            return Polynomial.zero(self.table)
-        w = degree // 2
-        return Polynomial(
-            self.table,
-            [(e, c) for e, c in self.terms if self.table.weighted_degree(e) == w],
-        )
+        terms = [t for t in self.packed if 2 * self._weight(t[1]) == degree]
+        return _canonical(self.table, terms, self.scale)
 
     def leading_term(self, order: MonomialOrder) -> tuple:
         """(exponents, coefficient) maximal under the order; zero poly raises."""
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no leading term")
         return max(self.terms, key=lambda t: order.key(t[0]))
 
@@ -342,40 +407,32 @@ class Polynomial:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        return Polynomial(self.table, list(self.terms) + list(p.terms))
+        return _sum(self.table, ((self.scale, self.packed), (p.scale, p.packed)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.table, [(e, -c) for e, c in self.terms])
+        return _make(self.table, self.packed, -self.scale)
 
     def __sub__(self, other):
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        return Polynomial(self.table, list(self.terms) + [(e, -c) for e, c in p.terms])
+        return _sum(self.table, ((self.scale, self.packed), (-p.scale, p.packed)))
 
     def __rsub__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return p - self
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return Polynomial.zero(self.table)
-            return Polynomial(self.table, [(e, c * q) for e, c in self.terms])
+            return _make(self.table, self.packed, self.scale * other) if other and self else (
+                Polynomial.zero(self.table))
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in p.terms:
-                m = mono_mul(e1, e2)
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return Polynomial(self.table, acc.items())
+        # keys and packed monomials add under multiplication
+        return _collect(self.table, [t + (self.packed,) for t in p.packed],
+                        self.scale * p.scale)
 
     __rmul__ = __mul__
 
@@ -394,31 +451,29 @@ class Polynomial:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
+            if not other:
                 raise ZeroDivisionError("division by zero scalar")
-            return self * (1 / q)
+            return _make(self.table, self.packed, self.scale / other)
         return NotImplemented
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self == Polynomial.constant(self.table, other)
+            other = Polynomial.constant(self.table, other)
         return (
             isinstance(other, Polynomial)
             and self.table == other.table
-            and self.terms == other.terms
+            and self.scale == other.scale
+            and self.packed == other.packed
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.table, self.terms)))
-        return self._hash
+        return hash((self.table, self.packed, self.scale))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     # -- homomorphisms -----------------------------------------------------
 
@@ -428,7 +483,8 @@ class Polynomial:
 
         Unmapped variables go to the same-named variable of the target table;
         the target defaults to the table of any polynomial image, else to the
-        source table.
+        source table.  A signed permutation of variables (each image ±1 times
+        a distinct variable) maps the terms in one pass.
         """
         if table is None:
             for img in images.values():
@@ -448,51 +504,62 @@ class Polynomial:
                 full.append(img)
             else:
                 full.append(Polynomial.constant(table, img))
-        acc: dict = {}
-        power_cache: list[dict[int, Polynomial]] = [{} for _ in full]
-        for exps, coef in self.terms:
-            term = Polynomial.constant(table, coef)
-            for i, e in enumerate(exps):
+        units = {Polynomial.variable(table, n).packed: j for j, n in enumerate(table.names)}
+        targets = [units.get(img.packed) if abs(img.scale) == 1 else None for img in full]
+        if None not in targets and len(set(targets)) == len(targets):
+            source = [len(full)] * len(table)
+            for i, j in enumerate(targets):
+                source[j] = i
+            return self.map_monomials(
+                table, lambda e: list(map((e + (0,)).__getitem__, source)),
+                [i for i, img in enumerate(full) if img.scale < 0],
+            )
+        parts = []
+        powers: dict = {}
+        for _, m, c in self.packed:
+            term = Polynomial.one(table)
+            for i, e in enumerate(self.table.unpack(m)):
                 if e:
-                    cache = power_cache[i]
-                    if e not in cache:
-                        cache[e] = full[i] ** e
-                    term = term * cache[e]
-            for m, c in term.terms:
-                acc[m] = acc.get(m, 0) + c
-        return Polynomial(table, acc.items())
+                    if (i, e) not in powers:
+                        powers[i, e] = full[i] ** e
+                    term = term * powers[i, e]
+            parts.append((self.scale * term.scale * c, term.packed))
+        return _sum(table, parts)
+
+    def map_monomials(self, table: VariableTable, fn, odd: Sequence[int] = ()) -> "Polynomial":
+        """Σ ±c·x^fn(e) over `table`, terms with coinciding images merged.
+
+        A term changes sign when its exponents at the source indices `odd`
+        have an odd sum.
+        """
+        flip = self.table.pack([int(i in odd) for i in range(len(self.table))])
+        unpack = self.table.unpack
+        return _collect(table, [(0, 0, 1, [
+            table.packed_monomial(fn(unpack(m))) + (-c if (m & flip).bit_count() & 1 else c,)
+            for _, m, c in self.packed
+        ])], self.scale)
 
     def reindex(self, table: VariableTable,
                 rename: Mapping[str, str] | None = None) -> "Polynomial":
         """Move to another table, mapping variables by name (or via `rename`)."""
         rename = rename or {}
-        cols = [table.index(rename.get(n, n)) for n in self.table.names]
-        nvars = len(table)
-        out = []
-        for exps, coef in self.terms:
-            e = [0] * nvars
-            for src, dst in enumerate(cols):
-                e[dst] += exps[src]
-            out.append((tuple(e), coef))
-        return Polynomial(table, out)
+        images = {n: Polynomial.variable(table, rename.get(n, n)) for n in self.table.names}
+        return self.substitute(images, table)
 
     def exact_divide(self, divisor: "Polynomial") -> "Polynomial":
         """Return self / divisor, raising InexactDivisionError on any remainder."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        order = GrevlexOrder(self.table)
+        dk, dm, dc = divisor.packed[0]
         quotient = Polynomial.zero(self.table)
         remainder = self
-        d_exps, d_coef = divisor.leading_term(order)
-        while not remainder.is_zero():
-            r_exps, r_coef = remainder.leading_term(order)
-            if not mono_divides(d_exps, r_exps):
-                raise InexactDivisionError(
-                    f"{divisor} does not divide {self} exactly"
-                )
-            q_term = Polynomial(self.table, [(mono_div(r_exps, d_exps), r_coef / d_coef)])
-            quotient = quotient + q_term
-            remainder = remainder - q_term * divisor
+        while remainder:
+            k, m, c = remainder.packed[0]
+            if (m - dm) & self.table.guard_mask:
+                raise InexactDivisionError(f"{divisor} does not divide {self} exactly")
+            q = _make(self.table, ((k - dk, m - dm, 1),), remainder.scale * c / (divisor.scale * dc))
+            quotient = quotient + q
+            remainder = remainder - q * divisor
         return quotient
 
     def divides(self, other: "Polynomial") -> bool:
@@ -525,11 +592,11 @@ def format_polynomial(p: Polynomial) -> str:
                 factors.append(f"{name}^{e}")
         mag = abs(coef)
         if not factors:
-            body = format_rational(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = format_rational(mag) + "*" + "*".join(factors)
+            body = f"{mag}*" + "*".join(factors)
         if i == 0:
             chunks.append(body if coef > 0 else "-" + body)
         else:
@@ -541,6 +608,7 @@ _FACTOR_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<var>[A-Za-z_][A-Za-z0-9_]*)"
     r"(?:\s*\^\s*(?P<exp>\d+))?)\s*\Z"
 )
+_SIGN_RE = re.compile(r"(?<=[^\s*^/+-])\s*([+-])")
 
 
 def parse_polynomial(table: VariableTable, text: str) -> Polynomial:
@@ -548,38 +616,17 @@ def parse_polynomial(table: VariableTable, text: str) -> Polynomial:
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial text")
-    # split into signed terms: a leading sign plus signs not directly after
-    # an operator (so '3/-2' stays an error rather than splitting)
-    terms: list[tuple[int, str]] = []
-    pos = 0
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        pos = 1
-    current = []
-    i = pos
-    prev_nonspace = ""
-    while i < len(s):
-        ch = s[i]
-        if ch in "+-" and prev_nonspace not in "*^/+-" and prev_nonspace != "":
-            terms.append((sign, "".join(current)))
-            current = []
-            sign = -1 if ch == "-" else 1
-        else:
-            current.append(ch)
-            if not ch.isspace():
-                prev_nonspace = ch
-        i += 1
-    terms.append((sign, "".join(current)))
-
+    # a leading sign, then signs that split terms: those not after an
+    # operator (so '3/-2' stays an error rather than splitting)
+    pieces = _SIGN_RE.split(s[1:] if s[0] in "+-" else s)
+    signs = [s[0] if s[0] in "+-" else "+"] + pieces[1::2]
     result_terms = []
-    nvars = len(table)
-    for sgn, body in terms:
+    for sgn, body in zip(signs, pieces[0::2]):
         body = body.strip()
         if not body:
             raise ParseError(f"empty term in {text!r}")
-        coef = Fraction(sgn)
-        exps = [0] * nvars
+        coef = Fraction(-1 if sgn == "-" else 1)
+        exps = [0] * len(table)
         for factor in body.split("*"):
             m = _FACTOR_RE.match(factor)
             if not m:

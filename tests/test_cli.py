@@ -36,6 +36,10 @@ def canon_without_timings(text: str) -> str:
         (("1", "1", "1"), "report_1-1-1.json"),
         (("1", "1", "1", "2"), "report_1-1-1-2.json"),
         (("1", "2", "4", "8", "16"), "report_1-2-4-8-16.json"),
+        pytest.param(
+            ("1", "2", "4", "8", "16", "32"), "report_1-2-4-8-16-32.json",
+            marks=pytest.mark.slow,
+        ),
     ],
 )
 def test_report_matches_golden(capsys, xi, golden):

@@ -208,6 +208,29 @@ def test_certificate_closed_form_n3_corrected_constant():
     assert rel.normal_form(expansion - target).is_zero()
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_certificate_closed_form_corrected_constant(n):
+    # The same closed form past the n=3 base case, at S = {n} with every
+    # class at level n: 2^(n-2) expands to e*D_S, and criterion 2's stated
+    # 2^(n-3) leaves a nonzero residue here too.
+    inst = HyperpolygonInstance(EdgeLengths([2 ** i for i in range(n)]))
+    T = inst.table_Q
+    x = parse_polynomial(T, "x")
+    cn = parse_polynomial(T, f"c{n}")
+    rel = Ideal(T, list(inst.relations_Q))
+    target = inst.euler_e * inst.D({n})
+
+    def residue(k):
+        expansion = Fraction(2) ** k * (x + cn) * (
+            (2 * x - cn) * inst.C(()) - cn * inst.C({n})
+        )
+        return rel.normal_form(expansion - target)
+
+    assert not rel.normal_form(target).is_zero()
+    assert residue(n - 2).is_zero()
+    assert not residue(n - 3).is_zero()
+
+
 def test_certificates_all_shorts(inst4):
     for S in inst4.table.nonempty_shorts():
         cert = certify_membership(inst4, S)

@@ -92,6 +92,13 @@ def _remainder(p, reducers, order):
     return rem
 
 
+def _iterms(kp):
+    """(mono, coef) pairs of a KP, head first."""
+    if kp is None:
+        return []
+    return [(kp[1], kp[2])] + [(pure._unpack(pm, len(kp[1])), c) for _, pm, c in kp[3]]
+
+
 def _check_primitive(coefs):
     g = 0
     for c in coefs:
@@ -101,7 +108,7 @@ def _check_primitive(coefs):
 
 def test_public_surface():
     assert K.KERNEL_NAME == "pure"
-    for name in ("key_of", "kp_make", "kp_iterms", "kp_lt", "kp_spoly", "kp_normal_form"):
+    for name in ("key_of", "kp_make", "kp_from_terms", "kp_lt", "kp_spoly", "kp_normal_form"):
         assert callable(getattr(K, name))
 
 
@@ -141,17 +148,19 @@ def test_kp_make_contract(order, terms):
     p = _poly(terms)
     if not p:
         assert kp is None
-        assert K.kp_iterms(kp) == []
+        assert _iterms(kp) == []
         return
     lead, _ = _lead(p, order)
     assert kp[0] == K.key_of(spec, lead)
     assert K.kp_lt(kp) == (kp[1], kp[2]) and kp[1] == lead and kp[2] > 0
-    back = K.kp_iterms(kp)
+    back = _iterms(kp)
     assert [m for m, _ in back] == sorted(p, key=order.key, reverse=True)
     _check_primitive([c for _, c in back])
     ratio = Fraction(kp[2]) / p[lead]
     assert all(p[m] * ratio == c for m, c in back)
     assert K.kp_make(back, spec) == kp
+    full = ((-kp[0], kp[4], kp[2]),) + kp[3]
+    assert K.kp_from_terms([(k, m, -3 * c) for k, m, c in full], NVARS) == kp
 
 
 @settings(max_examples=300)
@@ -164,13 +173,18 @@ def test_normal_form_equals_fraction_division(order, target_terms, reducer_terms
     num, den, terms = K.kp_normal_form(target, reducers, spec)
     assert num > 0 and den > 0 and gcd(num, den) == 1
     want = _remainder(
-        _poly(K.kp_iterms(target)), [_poly(K.kp_iterms(r)) for r in reducers], order
+        _poly(_iterms(target)), [_poly(_iterms(r)) for r in reducers], order
     )
-    got = {m: Fraction(num, den) * c for m, c in terms}
+    got = {pure._unpack(pm, NVARS): Fraction(num, den) * c for _, pm, c in terms}
     assert got == want
-    assert [m for m, _ in terms] == sorted(want, key=order.key, reverse=True)
+    assert [pure._unpack(pm, NVARS) for _, pm, _ in terms] == sorted(
+        want, key=order.key, reverse=True
+    )
+    assert [nk for nk, _, _ in terms] == [
+        -K.key_of(spec, pure._unpack(pm, NVARS)) for _, pm, _ in terms
+    ]
     if terms:
-        _check_primitive([c for _, c in terms])
+        _check_primitive([c for _, _, c in terms])
     else:
         assert (num, den) == (1, 1)
 
@@ -181,7 +195,7 @@ def test_spoly_equals_fraction_spoly(order, t1, t2):
     f, g = K.kp_make(t1, spec), K.kp_make(t2, spec)
     if f is None or g is None:
         return
-    pf, pg = _poly(K.kp_iterms(f)), _poly(K.kp_iterms(g))
+    pf, pg = _poly(_iterms(f)), _poly(_iterms(g))
     (fm, fc), (gm, gc) = _lead(pf, order), _lead(pg, order)
     lcm = tuple(map(max, fm, gm))
     qf = tuple(a - b for a, b in zip(lcm, fm))
@@ -191,7 +205,7 @@ def test_spoly_equals_fraction_spoly(order, t1, t2):
     if not want:
         assert s is None
         return
-    got = K.kp_iterms(s)
+    got = _iterms(s)
     assert s[2] > 0
     _check_primitive([c for _, c in got])
     scale = Fraction(s[2]) / want[s[1]]
@@ -208,7 +222,9 @@ def test_exponent_at_the_limit_is_exact():
     # x0 -> -x1^EXP_MAX under lex, the largest exponent a field holds
     r = K.kp_make([((1, 0), 1), ((0, EXP_MAX), 1)], LEX)
     target = K.kp_make([((1, 0), 1)], LEX)
-    assert K.kp_normal_form(target, [r], LEX) == (1, 1, [((0, EXP_MAX), -1)])
+    assert K.kp_normal_form(target, [r], LEX) == (
+        1, 1, [(-K.key_of(LEX, (0, EXP_MAX)), pure._pack((0, EXP_MAX)), -1)]
+    )
     assert K.key_of(LEX, (0, EXP_MAX)) < K.key_of(LEX, (1, 0))
 
 

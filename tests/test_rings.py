@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kirwan.errors import ParseError
+from kirwan.errors import InexactDivisionError, ParseError
 from kirwan.rings import (
     BlockOrder,
     GrevlexOrder,
@@ -184,3 +185,186 @@ def test_reindex_and_substitute_names():
     assert format_polynomial(q) == format_polynomial(parse_polynomial(t2, "u^2 - 3*w"))
     back = q.reindex(T)
     assert back == p
+
+
+# -- the packed representation against a dict[exponents, Fraction] oracle ----
+
+GREVLEX = GrevlexOrder(T)
+coef_terms = st.lists(st.tuples(monomials, rationals), max_size=6)
+
+
+def _ref(terms) -> dict:
+    out: dict = {}
+    for e, c in terms:
+        out[e] = out.get(e, 0) + Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    return _ref(list(a.items()) + [(e, sign * c) for e, c in b.items()])
+
+
+def _ref_mul(a, b):
+    return _ref([(mono_mul(e1, e2), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items()])
+
+
+def _ref_pow(a, n):
+    out = {(0,) * len(T): Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_subst(a, images):
+    """images: one reference polynomial per variable of T."""
+    out: dict = {}
+    for e, c in a.items():
+        term = {(0,) * len(T): c}
+        for img, k in zip(images, e):
+            term = _ref_mul(term, _ref_pow(img, k))
+        out = _ref_add(out, term)
+    return out
+
+
+def _agrees(p: Polynomial, want: dict) -> None:
+    """p has the value want, the terms view's order and types, and the
+    canonical packed form: content 1, positive head, one Fraction scale."""
+    terms = p.terms
+    assert dict(terms) == want
+    assert [e for e, _ in terms] == sorted(want, key=GrevlexOrder(p.table).key, reverse=True)
+    assert all(type(e) is tuple and type(c) is Fraction for e, c in terms)
+    assert type(p.scale) is Fraction
+    coefs = [c for _, _, c in p.packed]
+    if coefs:
+        assert gcd(*coefs) == 1 and coefs[0] > 0
+        assert [k for k, _, _ in p.packed] == sorted(k for k, _, _ in p.packed)
+    else:
+        assert p.scale == 0
+
+
+@given(coef_terms, coef_terms)
+def test_oracle_add_sub_mul(ta, tb):
+    a, b = Polynomial(T, ta), Polynomial(T, tb)
+    ra, rb = _ref(ta), _ref(tb)
+    _agrees(a, ra)
+    _agrees(a + b, _ref_add(ra, rb))
+    _agrees(a - b, _ref_add(ra, rb, -1))
+    _agrees(-a, {e: -c for e, c in ra.items()})
+    _agrees(a * b, _ref_mul(ra, rb))
+    _agrees(3 - a, _ref_add({(0, 0, 0): Fraction(3)}, ra, -1))
+
+
+@given(coef_terms, st.integers(0, 4), rationals)
+def test_oracle_pow_and_scalars(ta, n, q):
+    a, ra = Polynomial(T, ta), _ref(ta)
+    _agrees(a ** n, _ref_pow(ra, n))
+    _agrees(a * q, _ref({e: c * q for e, c in ra.items()}.items()))
+    _agrees(q * a, _ref({e: c * q for e, c in ra.items()}.items()))
+    if q:
+        _agrees(a / q, {e: c / q for e, c in ra.items()})
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / q
+
+
+@given(coef_terms, coef_terms)
+def test_oracle_equality_and_hash(ta, tb):
+    a, b = Polynomial(T, ta), Polynomial(T, tb)
+    assert (a == b) == (_ref(ta) == _ref(tb))
+    # the same value built another way has the same canonical form
+    twice = (a * 2) / 2 + Polynomial.zero(T)
+    assert twice == a and hash(twice) == hash(a)
+    assert twice.packed == a.packed and twice.scale == a.scale
+    assert (a == 3) == (_ref(ta) == {(0, 0, 0): 3})
+    assert (a == 0) == (not _ref(ta))
+
+
+def test_equality_with_scalars():
+    three = Polynomial.constant(T, 3)
+    assert three == 3 and three == Fraction(3) and 3 == three
+    assert three != 2 and parse_polynomial(T, "3*u") != 3
+    assert Polynomial.zero(T) == 0 and Polynomial.one(T) == 1
+    assert hash(three) == hash(parse_polynomial(T, "6/2"))
+
+
+U, V, W = ({(1, 0, 0): Fraction(1)}, {(0, 1, 0): Fraction(1)}, {(0, 0, 1): Fraction(1)})
+
+
+def _neg(r):
+    return {e: -c for e, c in r.items()}
+
+
+@pytest.mark.parametrize("images,ref_images", [
+    ({"u": "-u"}, [_neg(U), V, W]),                      # a -> -a
+    ({"u": "v", "v": "u"}, [V, U, W]),                   # c_i <-> c_j
+    ({"u": "-v", "v": "u", "w": "-w"}, [_neg(V), U, _neg(W)]),
+    ({"u": "v + w", "w": "u*v"}, [_ref_add(V, W), V, _ref_mul(U, V)]),
+    ({"u": "2*v", "v": "-u"}, [{(0, 1, 0): Fraction(2)}, _neg(U), W]),
+    ({"u": "v"}, [V, V, W]),                             # not injective
+    ({"u": "1/3", "w": "0"}, [{(0, 0, 0): Fraction(1, 3)}, V, {}]),
+])
+@settings(max_examples=40)
+@given(ta=coef_terms)
+def test_oracle_substitute(images, ref_images, ta):
+    imgs = {k: parse_polynomial(T, v) for k, v in images.items()}
+    _agrees(Polynomial(T, ta).substitute(imgs), _ref_subst(_ref(ta), ref_images))
+
+
+@given(coef_terms)
+def test_oracle_reindex(ta):
+    t2 = VariableTable(["x", "w", "v", "u"], [2, 4, 2, 2])
+    want = {(0, e[2], e[1], e[0]): c for e, c in _ref(ta).items()}
+    moved = Polynomial(T, ta).reindex(t2)
+    _agrees(moved, want)
+    merged = Polynomial(T, ta).reindex(t2, {"u": "v"})
+    _agrees(merged, _ref([((0, e[2], e[0] + e[1], 0), c) for e, c in _ref(ta).items()]))
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(monomials, rationals), max_size=4),
+       st.lists(st.tuples(monomials, rationals), min_size=1, max_size=3))
+def test_oracle_exact_divide(ta, tb):
+    a, b = Polynomial(T, ta), Polynomial(T, tb)
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.exact_divide(b)
+        return
+    _agrees((a * b).exact_divide(b), _ref(ta))
+    if b.weighted_degree():
+        with pytest.raises(InexactDivisionError):
+            (a * b + 1).exact_divide(b)
+
+
+@given(coef_terms, st.integers(0, 12))
+def test_oracle_homogeneous_component(ta, degree):
+    want = {e: c for e, c in _ref(ta).items() if 2 * T.weighted_degree(e) == degree}
+    _agrees(Polynomial(T, ta).homogeneous_component(degree), want)
+
+
+@given(coef_terms)
+def test_oracle_leading_term(ta):
+    p, ref = Polynomial(T, ta), _ref(ta)
+    for order in (GREVLEX, LexOrder(T), BlockOrder(T, 1), BlockOrder(T, 2)):
+        if not ref:
+            with pytest.raises(ValueError):
+                p.leading_term(order)
+            continue
+        lead = max(ref, key=order.key)
+        assert p.leading_term(order) == (lead, ref[lead])
+
+
+def test_exponent_limit():
+    big = Polynomial(T, [((32767, 0, 0), 3)])
+    assert big.terms == (((32767, 0, 0), Fraction(3)),)
+    u = Polynomial.variable(T, "u")
+    assert (u ** 32767).terms == (((32767, 0, 0), Fraction(1)),)
+    assert (u ** 32767).exact_divide(u ** 32766) == u
+    for make in (
+        lambda: Polynomial(T, [((32768, 0, 0), 1)]),
+        lambda: big * u,
+        lambda: u ** 32768,
+        lambda: (big + 1).substitute({"v": u}, T) * u,
+        lambda: Polynomial(T, [((0, 0, 32767), 1)]).reindex(T, {"w": "v"}) * parse_polynomial(T, "v"),
+    ):
+        with pytest.raises(OverflowError, match="packed kernel"):
+            make()

@@ -176,20 +176,14 @@ def kirwan_image(k: KirwanPresentation, budgets: Budgets | None = None) -> Quoti
 def _fixed_dimension(ring: QuotientRing, w_action: Mapping[str, Polynomial],
                      degree: int) -> int:
     """Dimension of the involution-fixed subspace of one graded piece."""
-    monos = ring.std_monomials(degree)
-    if not monos:
-        return 0
-    index = {m: i for i, m in enumerate(monos)}
-    n = len(monos)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for j, m in enumerate(monos):
-        p = Polynomial(ring.table, [(m, Fraction(1))])
-        image = ring.normal_form(p.substitute(w_action, table=ring.table))
-        for exps, coef in image.terms:
-            rows[index[exps]][j] = coef
-    for i in range(n):
-        rows[i][i] -= 1
-    return n - linalg.rank(rows, Fraction(0), Fraction(1))
+    # rows are the images of the basis, so this is (W - 1) transposed: same rank
+    rows = [
+        ring.coordinates(p.substitute(w_action, table=ring.table), degree)
+        for p in ring.graded_basis(degree)
+    ]
+    for i, row in enumerate(rows):
+        row[i] -= 1
+    return len(rows) - linalg.rank(rows, Fraction(0), Fraction(1)) if rows else 0
 
 
 def verify_second_iso(k: KirwanPresentation, budgets: Budgets | None = None,

@@ -9,7 +9,8 @@ comparing runs byte-for-byte should drop.
 Exit codes:
   0  requested checks all passed
   1  unexpected internal error
-  2  usage or parse error (argparse, malformed --xi, bad subset)
+  2  usage or parse error (argparse, malformed --xi, bad subset,
+     unwritable --out)
   3  non-generic edge lengths (the offending subset is in the payload)
   4  resource budget exhausted
   5  a verification or requested check failed
@@ -406,7 +407,11 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - last resort
         _emit_error(_error_payload("unexpected", exc))
         return EXIT_UNEXPECTED
-    _emit(payload, args)
+    try:
+        _emit(payload, args)
+    except OSError as exc:  # an unwritable --out path
+        _emit_error(_error_payload("usage", exc))
+        return EXIT_USAGE
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 

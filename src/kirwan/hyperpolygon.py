@@ -419,19 +419,11 @@ def basis_dimension_check(inst: HyperpolygonInstance) -> dict:
     ring = QuotientRing(
         Ideal(inst.table_Q, list(inst.relations_Q) + [x]), budgets=inst.budgets
     )
-    monos = ring.std_monomials(deg)
-    index = {m: k for k, m in enumerate(monos)}
-    rows = []
-    for S in inst.table.nonempty_shorts():
-        nf = ring.normal_form(inst.D(S))
-        row = [Fraction(0)] * len(monos)
-        for exps, coef in nf.terms:
-            row[index[exps]] = coef
-        rows.append(row)
+    rows = [ring.coordinates(inst.D(S), deg) for S in inst.table.nonempty_shorts()]
     rank = linalg.rank(rows, Fraction(0), Fraction(1)) if rows else 0
     return {
         "degree": deg,
-        "dimension": len(monos),
+        "dimension": ring.graded_dimension(deg),
         "expected": len(inst.table.nonempty_shorts()),
         "independent": rank == len(rows),
     }

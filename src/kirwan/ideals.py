@@ -508,6 +508,14 @@ class QuotientRing:
     def graded_basis(self, degree: int) -> list:
         return [Polynomial(self.table, [(m, Fraction(1))]) for m in self.std_monomials(degree)]
 
+    def coordinates(self, p: Polynomial, degree: int) -> list:
+        """Q coordinates of p's normal form in the basis std_monomials(degree)."""
+        index = {m: k for k, m in enumerate(self.std_monomials(degree))}
+        row = [Fraction(0)] * len(index)
+        for m, c in self.normal_form(p).terms:
+            row[index[m]] = c
+        return row
+
     def is_cofinite(self) -> bool:
         """True when every variable has a pure power among the leading terms."""
         lts = self._lts()

@@ -8,7 +8,12 @@ are per-component elements of algebra ⊗ K; the integral is the fixed-point
 sum of integrate_top(class / euler), and everything downstream (pairings,
 adjoint pushforwards, the diagonal-class basis criterion) is exact K linear
 algebra.
-"""
+
+An element of one component is a dict {standard monomial: RationalFunction}
+with no zero values; every sum goes through _accumulate, which keeps it so.
+FixedComponent.evaluate, the one evaluation routine, takes Σ coef·Π var^e to
+its image under variable images: map pullbacks, relation checks and ambient
+restrictions all use it."""
 
 from __future__ import annotations
 
@@ -29,6 +34,26 @@ def _rf(value) -> RationalFunction:
     if isinstance(value, RationalFunction):
         return value
     return RationalFunction(Fraction(value))
+
+
+def _accumulate(out: dict, pairs) -> dict:
+    """Add each (monomial, coefficient) pair into out, dropping zeros."""
+    for m, c in pairs:
+        cur = out.get(m)
+        cur = c if cur is None else cur + c
+        if cur.is_zero():
+            out.pop(m, None)
+        else:
+            out[m] = cur
+    return out
+
+
+def _split_x(p: Polynomial) -> dict:
+    """{monomial in the leading variables: Q[x] coefficient} for p, with x last."""
+    return _accumulate({}, (
+        (exps[:-1], RationalFunction([Fraction(0)] * exps[-1] + [coef]))
+        for exps, coef in p.terms
+    ))
 
 
 class FixedComponent:
@@ -52,18 +77,15 @@ class FixedComponent:
             raise ValueError(
                 f"component {name}: fundamental class is not a top-degree standard monomial"
             )
-        self.euler = self.normalize(euler)
-        unit = self.euler.get(self._unit_mono())
-        if unit is None or not unit.is_polynomial():
-            raise ValueError(f"component {name}: euler unit part missing or not polynomial")
-        coeffs = unit.polynomial_coeffs()
-        nonzero = [(k, c) for k, c in enumerate(coeffs) if c]
-        if len(nonzero) != 1:
-            raise ValueError(f"component {name}: euler unit part is not a single a*x^k term")
-        self._euler_k, self._euler_a = nonzero[0]
         self._dim = None
         self._mul_cache: dict = {}
         self._inverse = None
+        self.euler = self.normalize(euler)
+        lead = self.euler.get(self._unit_mono())
+        if lead is None or not lead.is_polynomial():
+            raise ValueError(f"component {name}: euler unit part missing or not polynomial")
+        if sum(1 for c in lead.polynomial_coeffs() if c) != 1:
+            raise ValueError(f"component {name}: euler unit part is not a single a*x^k term")
 
     def __repr__(self) -> str:
         return f"FixedComponent({self.name})"
@@ -87,30 +109,16 @@ class FixedComponent:
     def normalize(self, value: Mapping) -> dict:
         """Reduce monomials to standard form and drop zero coefficients."""
         out: dict = {}
+        unit = self._unit_mono()
         for mono, coef in value.items():
             coef = _rf(coef)
-            if coef.is_zero():
-                continue
-            nf = self.ring.normal_form(Polynomial(self.table, [(tuple(mono), Fraction(1))]))
-            for m, c in nf.terms:
-                cur = out.get(m, RF.zero()) + coef * c
-                if cur.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = cur
+            if not coef.is_zero():
+                _accumulate(out, [(m, coef * c) for m, c in self._mono_product(tuple(mono), unit)])
         return out
 
     def parse_element(self, text: str) -> dict:
         """Polynomial text in the component variables plus x."""
-        ext = self.table.append("x")
-        p = parse_polynomial(ext, text)
-        raw: dict = {}
-        for exps, coef in p.terms:
-            mono, k = exps[:-1], exps[-1]
-            term = RationalFunction([Fraction(0)] * k + [coef])
-            cur = raw.get(mono, RF.zero()) + term
-            raw[mono] = cur
-        return self.normalize(raw)
+        return self.normalize(_split_x(parse_polynomial(self.table.append("x"), text)))
 
     def format_element(self, value: Mapping) -> str:
         if not value:
@@ -122,14 +130,7 @@ class FixedComponent:
         return " + ".join(chunks)
 
     def add(self, a: Mapping, b: Mapping) -> dict:
-        out = dict(a)
-        for m, c in b.items():
-            cur = out.get(m, RF.zero()) + c
-            if cur.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = cur
-        return out
+        return _accumulate(dict(a), b.items())
 
     def scale(self, a: Mapping, s) -> dict:
         s = _rf(s)
@@ -138,11 +139,12 @@ class FixedComponent:
         return {m: c * s for m, c in a.items()}
 
     def _mono_product(self, m1: tuple, m2: tuple) -> list:
+        """Normal form of the monomial m1·m2, as (standard monomial, Q) pairs."""
         key = (m1, m2)
         if key not in self._mul_cache:
-            prod = Polynomial(self.table, [(tuple(x + y for x, y in zip(m1, m2)), Fraction(1))])
-            nf = self.ring.normal_form(prod)
-            self._mul_cache[key] = list(nf.terms)
+            mono = tuple(x + y for x, y in zip(m1, m2, strict=True))
+            prod = Polynomial(self.table, [(mono, Fraction(1))])
+            self._mul_cache[key] = list(self.ring.normal_form(prod).terms)
         return self._mul_cache[key]
 
     def mul(self, a: Mapping, b: Mapping) -> dict:
@@ -150,33 +152,44 @@ class FixedComponent:
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 c12 = c1 * c2
-                for m, q in self._mono_product(m1, m2):
-                    cur = out.get(m, RF.zero()) + c12 * q
-                    if cur.is_zero():
-                        out.pop(m, None)
-                    else:
-                        out[m] = cur
+                _accumulate(out, [(m, c12 * q) for m, q in self._mono_product(m1, m2)])
+        return out
+
+    def evaluate(self, names: Sequence[str], terms, images: Mapping) -> dict:
+        """Σ coef·Π images[name]^e over the (exponents, coef) terms, in this algebra ⊗ K.
+
+        Exponents are indexed by names; images maps each name that occurs to
+        an element of this component.  Powers are built once per call.
+        """
+        out: dict = {}
+        powers: dict = {}
+        unit = self._unit_mono()
+        for exps, coef in terms:
+            term = {unit: _rf(coef)}
+            for name, e in zip(names, exps):
+                if e:
+                    pw = powers.setdefault(name, [images[name]])
+                    while len(pw) < e:
+                        pw.append(self.mul(pw[-1], images[name]))
+                    term = self.mul(term, pw[e - 1])
+            _accumulate(out, term.items())
         return out
 
     def invert_euler(self) -> dict:
         """u with u·euler = 1, by the finite geometric series; verified each call."""
+        unit = self._unit_mono()
         if self._inverse is None:
-            unit_mono = self._unit_mono()
-            lead = RationalFunction(
-                [Fraction(0)] * self._euler_k + [self._euler_a]
-            )
-            nil = {m: c for m, c in self.euler.items() if m != unit_mono}
-            inv_lead = 1 / lead
-            term = {unit_mono: inv_lead}  # (-nil)^m / lead^(m+1), m = 0
+            inv_lead = 1 / self.euler[unit]
+            nil = {m: c for m, c in self.euler.items() if m != unit}
+            term = {unit: inv_lead}  # (-nil)^m / lead^(m+1), m = 0
             acc = dict(term)
             for _ in range(self.dimension()):
                 if not term:
                     break
                 term = self.scale(self.mul(term, nil), -inv_lead)
-                acc = self.add(acc, term)
+                _accumulate(acc, term.items())
             self._inverse = acc
-        check = self.mul(self._inverse, self.euler)
-        if check != {self._unit_mono(): RF.one()}:
+        if self.mul(self._inverse, self.euler) != {unit: RF.one()}:
             raise VerificationError(f"component {self.name}: euler inverse failed its check")
         return self._inverse
 
@@ -337,11 +350,16 @@ class ModelMap:
         self.source = source
         self.target = target
         self.assignment = tuple(assignment)
-        if len(self.assignment) != len(source.components):
-            raise ValueError("one target component per source component")
+        pullbacks = list(pullbacks)
+        n = len(source.components)
+        if len(self.assignment) != n or len(pullbacks) != n:
+            raise ValueError("one target component and one pullback per source component")
+        for j in self.assignment:
+            if not (isinstance(j, int) and 0 <= j < len(target.components)):
+                raise ValueError(f"assignment {j!r} is not a target component index")
         norm: list = []
-        for i, (j, images) in enumerate(zip(self.assignment, pullbacks)):
-            src, tgt = source.components[i], target.components[j]
+        for src, j, images in zip(source.components, self.assignment, pullbacks):
+            tgt = target.components[j]
             imgs: dict = {}
             for name in tgt.table.names:
                 if name not in images:
@@ -351,66 +369,25 @@ class ModelMap:
                 val = images[name]
                 imgs[name] = src.parse_element(val) if isinstance(val, str) else src.normalize(val)
             for rel in tgt.ring.ideal.generators:
-                image = self._substitute(src, tgt, imgs, rel)
-                if image:
+                if src.evaluate(tgt.table.names, rel.terms, imgs):
                     raise VerificationError(
                         f"pullback for {src.name} breaks relation {rel}"
                     )
             norm.append(imgs)
         self.pullbacks = norm
 
-    @staticmethod
-    def _substitute(src: FixedComponent, tgt: FixedComponent, imgs: Mapping,
-                    p: Polynomial) -> dict:
-        """Image of a target-algebra polynomial under the pullback."""
-        out: dict = {}
-        powers: dict = {}
-        for exps, coef in p.terms:
-            term = {src._unit_mono(): _rf(coef)}
-            for name, e in zip(tgt.table.names, exps):
-                if not e:
-                    continue
-                key = (name, e)
-                if key not in powers:
-                    val = imgs[name]
-                    acc = val
-                    for _ in range(e - 1):
-                        acc = src.mul(acc, val)
-                    powers[key] = acc
-                term = src.mul(term, powers[key])
-            for m, c in term.items():
-                cur = out.get(m, RF.zero()) + c
-                if cur.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = cur
-        return out
-
     def _substitute_value(self, i: int, value: Mapping) -> dict:
         """Image of a target-component element {mono: K} on source component i."""
-        src = self.source.components[i]
         tgt = self.target.components[self.assignment[i]]
-        imgs = self.pullbacks[i]
-        out: dict = {}
-        for mono, coef in value.items():
-            term = {src._unit_mono(): RF.one()}
-            for name, e in zip(tgt.table.names, mono):
-                for _ in range(e):
-                    term = src.mul(term, imgs[name])
-            for m, c in term.items():
-                cur = out.get(m, RF.zero()) + coef * c
-                if cur.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = cur
-        return out
+        return self.source.components[i].evaluate(
+            tgt.table.names, value.items(), self.pullbacks[i]
+        )
 
     def pullback(self, a: EquivariantClass) -> EquivariantClass:
         if a.model is not self.target:
             raise ValueError("class is not on the target model")
         values = [
-            self._substitute_value(i, a.values[self.assignment[i]])
-            for i in range(len(self.source.components))
+            self._substitute_value(i, a.values[j]) for i, j in enumerate(self.assignment)
         ]
         return EquivariantClass(self.source, values)
 
@@ -435,15 +412,13 @@ class ModelMap:
         if inner.target is not self.source:
             raise ValueError("maps do not compose")
         assignment = [self.assignment[j] for j in inner.assignment]
-        pullbacks = []
-        for i in range(len(inner.source.components)):
-            mid = inner.assignment[i]
-            tgt = self.target.components[self.assignment[mid]]
-            images = {}
-            for name in tgt.table.names:
-                mid_value = self.pullbacks[mid][name]
-                images[name] = inner._substitute_value(i, mid_value)
-            pullbacks.append(images)
+        pullbacks = [
+            {
+                name: inner._substitute_value(i, value)
+                for name, value in self.pullbacks[mid].items()
+            }
+            for i, mid in enumerate(inner.assignment)
+        ]
         return ModelMap(inner.source, self.target, assignment, pullbacks)
 
 
@@ -490,26 +465,8 @@ class ProductModel:
                     )
                 )
         self.model = CircleCompactModel(comps)
-        self.pi1 = ModelMap(
-            self.model,
-            base,
-            [i for i in range(n) for _ in range(n)],
-            [
-                {v: {self._emb(base, i, j, v, 1): RF.one()} for v in base.components[i].table.names}
-                for i in range(n)
-                for j in range(n)
-            ],
-        )
-        self.pi2 = ModelMap(
-            self.model,
-            base,
-            [j for i in range(n) for j in range(n)],
-            [
-                {v: {self._emb(base, i, j, v, 2): RF.one()} for v in base.components[j].table.names}
-                for i in range(n)
-                for j in range(n)
-            ],
-        )
+        self.pi1 = self._projection(1)
+        self.pi2 = self._projection(2)
         self.diagonal = ModelMap(
             base,
             self.model,
@@ -524,16 +481,18 @@ class ProductModel:
             ],
         )
 
-    def _emb(self, base, i, j, name, slot):
-        """Exponent vector of the suffixed variable in product component (i,j)."""
-        A, B = base.components[i], base.components[j]
-        na, nb = len(A.table), len(B.table)
-        e = [0] * (na + nb)
-        if slot == 1:
-            e[A.table.index(name)] = 1
-        else:
-            e[na + B.table.index(name)] = 1
-        return tuple(e)
+    def _projection(self, slot: int) -> ModelMap:
+        """π_slot: component (i, j) maps to base component i (slot 1) or j (slot 2)."""
+        n = len(self.base.components)
+        assignment, pullbacks = [], []
+        for k, comp in enumerate(self.model.components):
+            b = divmod(k, n)[slot - 1]
+            assignment.append(b)
+            pullbacks.append({
+                v: {comp.table.unit_exponents(f"{v}_{slot}"): RF.one()}
+                for v in self.base.components[b].table.names
+            })
+        return ModelMap(self.model, self.base, assignment, pullbacks)
 
     def tensor(self, a: EquivariantClass, b: EquivariantClass) -> EquivariantClass:
         """π₁*a · π₂*b, assembled directly."""
@@ -581,21 +540,18 @@ def diagonal_basis(model: CircleCompactModel, decomposition: Sequence[tuple]) ->
 # -- fixtures ---------------------------------------------------------------
 
 
-def _component_from_dict(payload: Mapping) -> FixedComponent:
-    names = [v[0] for v in payload.get("variables", [])]
-    degrees = [int(v[1]) for v in payload.get("variables", [])]
-    table = VariableTable(names, degrees)
+def _ring_from_dict(payload: Mapping) -> QuotientRing:
+    """The quotient ring of a payload's `variables` and `relations`."""
+    variables = payload.get("variables", [])
+    table = VariableTable([v[0] for v in variables], [int(v[1]) for v in variables])
     rels = [parse_polynomial(table, s) for s in payload.get("relations", [])]
-    ring = QuotientRing(Ideal(table, rels))
-    ext = table.append("x")
-    euler_poly = parse_polynomial(ext, payload["euler"])
-    euler: dict = {}
-    for exps, coef in euler_poly.terms:
-        mono, k = exps[:-1], exps[-1]
-        euler[mono] = euler.get(mono, RF.zero()) + RationalFunction(
-            [Fraction(0)] * k + [coef]
-        )
-    fund = parse_polynomial(table, payload.get("fundamental", "1"))
+    return QuotientRing(Ideal(table, rels))
+
+
+def _component_from_dict(payload: Mapping) -> FixedComponent:
+    ring = _ring_from_dict(payload)
+    euler = _split_x(parse_polynomial(ring.table.append("x"), payload["euler"]))
+    fund = parse_polynomial(ring.table, payload.get("fundamental", "1"))
     if len(fund.terms) != 1 or fund.terms[0][1] != 1:
         raise ValueError("fundamental must be a single monomial")
     return FixedComponent(payload["name"], ring, euler, fund.terms[0][0])
@@ -614,11 +570,7 @@ class FixtureModel:
         self._restrictions = None
         amb = payload.get("ambient")
         if amb:
-            table = VariableTable(
-                [v[0] for v in amb["variables"]], [int(v[1]) for v in amb["variables"]]
-            )
-            rels = [parse_polynomial(table, s) for s in amb["relations"]]
-            self.ambient = QuotientRing(Ideal(table, rels))
+            self.ambient = _ring_from_dict(amb)
             self._restrictions = amb["restrictions"]
         self.classes = {
             name: self.model.from_strings(texts)
@@ -630,34 +582,11 @@ class FixtureModel:
         if self.ambient is None:
             raise ValueError(f"fixture {self.name} has no ambient presentation")
         values = []
-        for comp, images in zip(self.model.components, self._restrictions):
-            parsed = {
-                name: comp.parse_element(text) for name, text in images.items()
-            }
-            out: dict = {}
-            for exps, coef in p.terms:
-                term = {comp._unit_mono(): _rf(coef)}
-                for name, e in zip(self.ambient.table.names, exps):
-                    if not e:
-                        continue
-                    if name == "x":
-                        term = comp.scale(term, _x_power(e))
-                        continue
-                    img = parsed[name]
-                    for _ in range(e):
-                        term = comp.mul(term, img)
-                for m, c in term.items():
-                    cur = out.get(m, RF.zero()) + c
-                    if cur.is_zero():
-                        out.pop(m, None)
-                    else:
-                        out[m] = cur
-            values.append(out)
+        for comp, texts in zip(self.model.components, self._restrictions):
+            images = {name: comp.parse_element(text) for name, text in texts.items()}
+            images["x"] = {comp._unit_mono(): RF.x()}
+            values.append(comp.evaluate(self.ambient.table.names, p.terms, images))
         return EquivariantClass(self.model, values)
-
-
-def _x_power(e: int) -> RationalFunction:
-    return RationalFunction([Fraction(0)] * e + [Fraction(1)])
 
 
 class MapFixture:
@@ -687,17 +616,11 @@ class MapFixture:
             name: parse_polynomial(src.table, text)
             for name, text in self.ambient_images.items()
         }
-        src_basis = src.std_monomials(degree)
-        index = {m: k for k, m in enumerate(src_basis)}
-        rows = []
-        for mono in tgt.std_monomials(degree):
-            p = Polynomial(tgt.table, [(mono, Fraction(1))])
-            image = src.normal_form(p.substitute(images, table=src.table))
-            row = [Fraction(0)] * len(src_basis)
-            for m, c in image.terms:
-                row[index[m]] = c
-            rows.append(row)
-        return rows, len(src_basis)
+        rows = [
+            src.coordinates(p.substitute(images, table=src.table), degree)
+            for p in tgt.graded_basis(degree)
+        ]
+        return rows, src.graded_dimension(degree)
 
 
 def load_fixture(name: str):

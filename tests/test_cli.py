@@ -187,6 +187,15 @@ def test_usage_error_on_zero_length(capsys):
     assert code == 2
 
 
+def test_usage_error_on_unwritable_out(capsys, tmp_path):
+    dest = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "shorts", "--xi", "1", "1", "1", "--out", str(dest))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "usage"
+    assert not dest.exists()
+
+
 def test_non_generic_exit(capsys):
     code, out, err = run_cli(capsys, "verify", "--xi", "1", "1", "2")
     assert code == 3

@@ -115,6 +115,38 @@ def test_map_pullback_must_respect_relations(line):
         ModelMap(model, model, [0], [{"t": "x"}])
 
 
+def _cube_model():
+    """One component Q[t]/(t^3), Euler class x, fundamental class t^2."""
+    from kirwan.localization import CircleCompactModel
+
+    T = VariableTable(["t"])
+    ring = QuotientRing(Ideal(T, [parse_polynomial(T, "t^3")]))
+    return CircleCompactModel([FixedComponent("pt", ring, {(0,): RF.x()}, (2,))])
+
+
+def test_map_needs_one_pullback_per_component(line):
+    model = line.model
+    with pytest.raises(ValueError):
+        ModelMap(model, model, [0, 1], [{}])
+    with pytest.raises(ValueError):
+        ModelMap(model, model, [0, 1], [{}, {}, {}])
+
+
+@pytest.mark.parametrize("assignment", [[0, -1], [0, 5], [0, 2]], ids=["minus1", "5", "2"])
+def test_map_rejects_assignment_out_of_range(line, assignment):
+    model = line.model
+    with pytest.raises(ValueError):
+        ModelMap(model, model, assignment, [{}, {}])
+
+
+def test_pullback_of_square_is_square_of_pullback():
+    model = _cube_model()
+    f = ModelMap(model, model, [0], [{"t": "2*t + t^2"}])
+    h = model.from_strings(["t"])
+    assert f.pullback(h * h) == f.pullback(h) * f.pullback(h)
+    assert f.pullback(h * h) == model.from_strings(["4*t^2"])
+
+
 # ---------------------------------------------------------------------------
 # line fixture: integration goldens and the diagonal decomposition
 
@@ -137,6 +169,20 @@ def test_line_restriction_matches_class(line):
     # h^2 = h x in the ambient presentation
     hh = line.restrict(parse_polynomial(amb, "h^2"))
     assert line.model.integrate(hh) == RF.x()
+
+
+@pytest.mark.parametrize("fixture", ["line", "segre"])
+def test_restrict_maps_x_and_powers(fixture, request):
+    fx = request.getfixturevalue(fixture)
+    if fixture == "segre":
+        fx = fx.target
+    amb = fx.ambient.table
+    h = fx.restrict(parse_polynomial(amb, "h"))
+    assert fx.restrict(parse_polynomial(amb, "x*h")) == h.scaled(RF.x())
+    assert fx.restrict(parse_polynomial(amb, "h^2")) == h * h
+    assert fx.restrict(parse_polynomial(amb, "x^2 - 3")) == fx.model.one().scaled(
+        RF.x() * RF.x() - 3
+    )
 
 
 def test_line_diagonal_basis(line):
@@ -286,14 +332,19 @@ def test_product_model_tensor_and_diagonal(product):
     assert total == model.integrate(model.one())
 
 
-def test_equivariant_class_algebra(line):
+@pytest.mark.parametrize("which", ["line", "segre-source", "segre-target"])
+def test_equivariant_class_algebra(which, line, segre):
     rng = random.Random(7)
-    model = line.model
+    model = {
+        "line": line.model,
+        "segre-source": segre.source.model,
+        "segre-target": segre.target.model,
+    }[which]
     classes = [random_class(rng, model) for _ in range(3)]
     a, b, c = classes
     assert (a + b) + c == a + (b + c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
-    assert (a - a).is_zero()
+    assert (a - a).values == tuple({} for _ in model.components)
     s = random_rf(rng)
     assert model.integrate(a.scaled(s) + b) == s * model.integrate(a) + model.integrate(b)

@@ -7,6 +7,7 @@ from kirwan import linalg
 from kirwan.errors import VerificationError
 from kirwan.ideals import Ideal, QuotientRing
 from kirwan.localization import (
+    CircleCompactModel,
     FixedComponent,
     ModelMap,
     ProductModel,
@@ -107,8 +108,6 @@ def test_map_pullback_must_respect_relations(line):
     T = VariableTable(["t"])
     ring = QuotientRing(Ideal(T, [parse_polynomial(T, "t^2")]))
     comp = FixedComponent("pt", ring, {(0,): RF.x()}, (1,))
-    from kirwan.localization import CircleCompactModel
-
     model = CircleCompactModel([comp])
     with pytest.raises(VerificationError):
         # t -> x has t^2 -> x^2 != 0
@@ -117,8 +116,6 @@ def test_map_pullback_must_respect_relations(line):
 
 def _cube_model():
     """One component Q[t]/(t^3), Euler class x, fundamental class t^2."""
-    from kirwan.localization import CircleCompactModel
-
     T = VariableTable(["t"])
     ring = QuotientRing(Ideal(T, [parse_polynomial(T, "t^3")]))
     return CircleCompactModel([FixedComponent("pt", ring, {(0,): RF.x()}, (2,))])

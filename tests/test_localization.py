@@ -114,13 +114,6 @@ def test_map_pullback_must_respect_relations(line):
         ModelMap(model, model, [0], [{"t": "x"}])
 
 
-def _cube_model():
-    """One component Q[t]/(t^3), Euler class x, fundamental class t^2."""
-    T = VariableTable(["t"])
-    ring = QuotientRing(Ideal(T, [parse_polynomial(T, "t^3")]))
-    return CircleCompactModel([FixedComponent("pt", ring, {(0,): RF.x()}, (2,))])
-
-
 def test_map_needs_one_pullback_per_component(line):
     model = line.model
     with pytest.raises(ValueError):
@@ -137,7 +130,10 @@ def test_map_rejects_assignment_out_of_range(line, assignment):
 
 
 def test_pullback_of_square_is_square_of_pullback():
-    model = _cube_model()
+    # Q[t]/(t^3), so the pullback of h^2 evaluates the exponent 2
+    T = VariableTable(["t"])
+    ring = QuotientRing(Ideal(T, [parse_polynomial(T, "t^3")]))
+    model = CircleCompactModel([FixedComponent("pt", ring, {(0,): RF.x()}, (2,))])
     f = ModelMap(model, model, [0], [{"t": "2*t + t^2"}])
     h = model.from_strings(["t"])
     assert f.pullback(h * h) == f.pullback(h) * f.pullback(h)

@@ -210,6 +210,14 @@ class EquivariantClass:
             comp.normalize(v) for comp, v in zip(model.components, values)
         )
 
+    @classmethod
+    def _of(cls, model: "CircleCompactModel", values) -> "EquivariantClass":
+        """A class from values already in normal form, without a second normalize."""
+        self = object.__new__(cls)
+        self.model = model
+        self.values = tuple(values)
+        return self
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, EquivariantClass)
@@ -222,7 +230,7 @@ class EquivariantClass:
 
     def __add__(self, other: "EquivariantClass") -> "EquivariantClass":
         self._check(other)
-        return EquivariantClass(
+        return EquivariantClass._of(
             self.model,
             [c.add(a, b) for c, a, b in zip(self.model.components, self.values, other.values)],
         )
@@ -233,7 +241,7 @@ class EquivariantClass:
     def __mul__(self, other):
         if isinstance(other, EquivariantClass):
             self._check(other)
-            return EquivariantClass(
+            return EquivariantClass._of(
                 self.model,
                 [c.mul(a, b) for c, a, b in zip(self.model.components, self.values, other.values)],
             )
@@ -242,7 +250,7 @@ class EquivariantClass:
     __rmul__ = __mul__
 
     def scaled(self, s) -> "EquivariantClass":
-        return EquivariantClass(
+        return EquivariantClass._of(
             self.model, [c.scale(v, s) for c, v in zip(self.model.components, self.values)]
         )
 

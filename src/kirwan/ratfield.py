@@ -1,9 +1,17 @@
 """The field K = Q(x) of univariate rational functions, exactly.
 
 Elements are kept in canonical form: numerator and denominator coprime, the
-denominator monic, zero as 0/1.  Equality is therefore structural.  Dense
-coefficient tuples (index = power of x) are enough for the sizes localization
-produces; growth is controlled by the gcd reduction after every operation.
+denominator monic, zero as 0/1.  Equality is therefore structural.  Both parts
+are dense tuples of Fractions (index = power of x), trailing zeros trimmed.
+
+Every result is brought to that form by _canonical.  Its gcd splits off the
+power of x first, gcd(x^i·p, x^j·q) = x^min(i,j)·gcd(p, q) with p, q prime to
+x, and cancels x^min(i,j) by slicing.  Euclid runs only when both p and q have
+degree ≥ 1; localization never gets there, since its denominators are c·x^k,
+but linear algebra over an arbitrary Q(x) may.  A constant denominator needs
+no gcd at all.  The public constructor accepts ints, lists, tuples and
+Polynomials; the arithmetic builds its results through _new, which takes
+canonical Fraction tuples as they are.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ from .rings import Polynomial, VariableTable, format_polynomial, parse_polynomia
 UPoly = tuple  # tuple[Fraction, ...], trailing zeros trimmed, () is zero
 
 _X_TABLE = VariableTable(["x"])
+_ZERO = Fraction(0)
+_ONE = (Fraction(1),)
 
 
 def _trim(cs: list) -> UPoly:
@@ -31,12 +41,13 @@ def upoly(*coeffs) -> UPoly:
 
 
 def _uadd(a: UPoly, b: UPoly) -> UPoly:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
     for i, c in enumerate(b):
-        out[i] += c
+        if c:
+            cur = out[i]
+            out[i] = cur + c if cur else c
     return _trim(out)
 
 
@@ -45,27 +56,34 @@ def _uneg(a: UPoly) -> UPoly:
 
 
 def _umul(a: UPoly, b: UPoly) -> UPoly:
+    """a·b; the top coefficient is a product of nonzero ones, so nothing to trim."""
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        return a if b == _ONE else _uscale(a, b[0])
+    out = [_ZERO] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
+                if cb:
+                    cur = out[i + j]
+                    out[i + j] = cur + ca * cb if cur else ca * cb
+    return tuple(out)
 
 
 def _uscale(a: UPoly, s: Fraction) -> UPoly:
     if not s:
         return ()
-    return tuple(c * s for c in a)
+    return tuple(c * s if c else c for c in a)
 
 
 def _udivmod(a: UPoly, b: UPoly) -> tuple:
     if not b:
         raise ZeroDivisionError("univariate division by zero")
     rem = list(a)
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    quo = [_ZERO] * max(0, len(a) - len(b) + 1)
     lead = b[-1]
     for i in range(len(a) - len(b), -1, -1):
         c = rem[i + len(b) - 1] / lead
@@ -76,14 +94,45 @@ def _udivmod(a: UPoly, b: UPoly) -> tuple:
     return _trim(quo), _trim(rem)
 
 
-def _ugcd(a: UPoly, b: UPoly) -> UPoly:
-    while b:
-        a, b = b, _udivmod(a, b)[1]
-        if b:
-            b = _uscale(b, 1 / b[-1])  # keep intermediate results monic
-    if not a:
-        return ()
-    return _uscale(a, 1 / a[-1])
+def _xval(a: UPoly) -> int:
+    """The power of x dividing the nonzero a."""
+    i = 0
+    while not a[i]:
+        i += 1
+    return i
+
+
+def _ugcd(a: UPoly, b: UPoly) -> tuple:
+    """gcd of nonzero a, b as (v, g): x^v times g, with g monic and prime to x."""
+    i, j = _xval(a), _xval(b)
+    p, q = a[i:], b[j:]
+    if len(p) == 1 or len(q) == 1:
+        return min(i, j), _ONE
+    while q:
+        p, q = q, _udivmod(p, q)[1]
+        if q:
+            q = _uscale(q, 1 / q[-1])  # keep intermediate results monic
+    return min(i, j), _uscale(p, 1 / p[-1])
+
+
+def _canonical(num: UPoly, den: UPoly) -> tuple:
+    """num/den as (num, den) in lowest terms with den monic; zero is 0/1."""
+    if not den:
+        raise ZeroDivisionError("rational function with zero denominator")
+    if not num:
+        return (), _ONE
+    if len(den) > 1:
+        v, g = _ugcd(num, den)
+        if v:
+            num, den = num[v:], den[v:]
+        if len(g) > 1:
+            num = _udivmod(num, g)[0]
+            den = _udivmod(den, g)[0]
+    lead = den[-1]
+    if lead != 1:
+        s = 1 / lead
+        num, den = _uscale(num, s), _uscale(den, s)
+    return num, den
 
 
 class RationalFunction:
@@ -91,22 +140,8 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=(Fraction(1),)):
-        num = _as_upoly(num)
-        den = _as_upoly(den)
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            den = (Fraction(1),)
-        else:
-            g = _ugcd(num, den)
-            if len(g) > 1:
-                num = _udivmod(num, g)[0]
-                den = _udivmod(den, g)[0]
-            lead = den[-1]
-            if lead != 1:
-                num = _uscale(num, 1 / lead)
-                den = _uscale(den, 1 / lead)
+    def __init__(self, num, den=_ONE):
+        num, den = _canonical(_as_upoly(num), _as_upoly(den))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -116,16 +151,24 @@ class RationalFunction:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _new(cls, num: UPoly, den: UPoly) -> "RationalFunction":
+        """The element num/den of a canonical pair of Fraction tuples, as given."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
+
+    @classmethod
     def zero(cls) -> "RationalFunction":
-        return cls(())
+        return cls._new((), _ONE)
 
     @classmethod
     def one(cls) -> "RationalFunction":
-        return cls((Fraction(1),))
+        return cls._new(_ONE, _ONE)
 
     @classmethod
     def x(cls) -> "RationalFunction":
-        return cls((Fraction(0), Fraction(1)))
+        return cls._new((_ZERO, Fraction(1)), _ONE)
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, xname: str = "x") -> "RationalFunction":
@@ -147,7 +190,7 @@ class RationalFunction:
         return not self.num
 
     def is_polynomial(self) -> bool:
-        return self.den == (Fraction(1),)
+        return self.den == _ONE
 
     def polynomial_coeffs(self) -> UPoly:
         if not self.is_polynomial():
@@ -170,22 +213,22 @@ class RationalFunction:
         if isinstance(other, RationalFunction):
             return other
         if isinstance(other, (int, Fraction)):
-            return RationalFunction((Fraction(other),) if other else ())
+            return RationalFunction._new((Fraction(other),) if other else (), _ONE)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(
+        return RationalFunction._new(*_canonical(
             _uadd(_umul(self.num, o.den), _umul(o.num, self.den)),
             _umul(self.den, o.den),
-        )
+        ))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(_uneg(self.num), self.den)
+        return RationalFunction._new(_uneg(self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -203,7 +246,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(_umul(self.num, o.num), _umul(self.den, o.den))
+        return RationalFunction._new(*_canonical(_umul(self.num, o.num), _umul(self.den, o.den)))
 
     __rmul__ = __mul__
 
@@ -213,7 +256,7 @@ class RationalFunction:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(_umul(self.num, o.den), _umul(self.den, o.num))
+        return RationalFunction._new(*_canonical(_umul(self.num, o.den), _umul(self.den, o.num)))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -281,6 +324,8 @@ def parse_rational_function(text: str) -> RationalFunction:
         left, right = s.split(")/(", 1)
         num = parse_polynomial(_X_TABLE, left[1:])
         den = parse_polynomial(_X_TABLE, right[:-1])
+        if den.is_zero():
+            raise ParseError(f"zero denominator in {text!r}")
         return RationalFunction(
             RationalFunction.from_polynomial(num).num,
             RationalFunction.from_polynomial(den).num,

@@ -15,7 +15,7 @@ from kirwan.localization import (
     load_fixture,
     verify_integration_adjunction,
 )
-from kirwan.ratfield import RationalFunction, upoly
+from kirwan.ratfield import RationalFunction, format_rational_function, upoly
 from kirwan.rings import Polynomial, VariableTable, parse_polynomial
 
 RF = RationalFunction
@@ -201,6 +201,45 @@ def test_line_diagonal_basis_rejects_wrong_decomposition(line):
 def test_pairings_nondegenerate(line, product, segre):
     for model in (line.model, product.model, segre.source.model, segre.target.model):
         assert model.is_nondegenerate(model.std_basis())
+
+
+# Standard Gram matrices of every fixture model and their determinants, as text.
+FROZEN_GRAMS = {
+    "line": (
+        [["(1)/(x)", "0"], ["0", "(-1)/(x)"]],
+        "(-1)/(x^2)",
+    ),
+    "segre-source": (
+        [["0", "(1)/(x)", "0", "0"], ["(1)/(x)", "0", "0", "0"],
+         ["0", "0", "0", "(-1)/(x)"], ["0", "0", "(-1)/(x)", "0"]],
+        "(1)/(x^4)",
+    ),
+    "segre-target": (
+        [["(-2)/(x^3)", "(1)/(x^2)", "0", "0"], ["(1)/(x^2)", "0", "0", "0"],
+         ["0", "0", "(2)/(x^3)", "(1)/(x^2)"], ["0", "0", "(1)/(x^2)", "0"]],
+        "(1)/(x^8)",
+    ),
+    "product": (
+        [["0", "(1)/(x)", "0", "0"], ["(1)/(x)", "0", "0", "0"],
+         ["0", "0", "0", "(-1)/(x)"], ["0", "0", "(-1)/(x)", "0"]],
+        "(1)/(x^4)",
+    ),
+}
+
+
+@pytest.mark.parametrize("which", sorted(FROZEN_GRAMS))
+def test_standard_gram_frozen(which, line, product, segre):
+    model = {
+        "line": line.model,
+        "segre-source": segre.source.model,
+        "segre-target": segre.target.model,
+        "product": product.model,
+    }[which]
+    gram = model.gram()
+    expected_gram, expected_det = FROZEN_GRAMS[which]
+    assert [[format_rational_function(c) for c in row] for row in gram] == expected_gram
+    det = linalg.det(gram, RF.zero(), RF.one())
+    assert format_rational_function(det) == expected_det
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kirwan.errors import ParseError
 from kirwan.ratfield import (
     RationalFunction,
     format_rational_function,
@@ -105,3 +106,123 @@ def test_polynomial_coeffs_guard():
     assert not r.is_polynomial()
     with pytest.raises(ValueError):
         r.polynomial_coeffs()
+
+
+@pytest.mark.parametrize("text", ["(x)/(0)", "(x^2 + 1)/(0*x)", "(x+1)/(x", "x/x"])
+def test_parse_rejects_malformed(text):
+    with pytest.raises(ParseError):
+        parse_rational_function(text)
+
+
+# ---------------------------------------------------------------------------
+# canonical form against a reference: Euclid on the whole pair, no x-adic split
+
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref_trim([
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
+    ])
+
+
+def _ref_divmod(a, b):
+    rem = list(a)
+    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        c = rem[-1] / b[-1]
+        k = len(rem) - len(b)
+        quo[k] = c
+        for j, cb in enumerate(b):
+            rem[k + j] -= c * cb
+        rem = _ref_trim(rem)
+    return quo, rem
+
+
+def _ref_canonical(num, den):
+    if not num:
+        return (), (Fraction(1),)
+    a, b = num, den
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    num, den = _ref_divmod(num, a)[0], _ref_divmod(den, a)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+small = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6)
+nonzero = small.filter(bool)
+
+
+@st.composite
+def x_free(draw, max_degree):
+    """A polynomial prime to x (nonzero constant term) of degree ≤ max_degree."""
+    return _ref_trim([draw(nonzero)] + draw(st.lists(small, max_size=max_degree)))
+
+
+@st.composite
+def split_pairs(draw, kind):
+    """(num, den) = (x^a·p·s, x^b·q·s) with den of the given kind.
+
+    kind "constant": den is a constant; "power": den is c·x^b, b ≥ 1;
+    "general": den has an x-free factor of degree ≥ 1, and s is a shared
+    factor (x − r) or (x² + r) when drawn.
+    """
+    a = draw(st.integers(0, 4))
+    p = draw(x_free(3))
+    if draw(st.booleans()):
+        p = [Fraction(0)]  # the zero numerator
+    if kind == "general":
+        b = draw(st.integers(0, 4))
+        q = _ref_mul(draw(x_free(2)), [draw(nonzero), Fraction(1)])
+        r = draw(nonzero)
+        s = draw(st.sampled_from([[Fraction(1)], [-r, Fraction(1)], [r, Fraction(0), Fraction(1)]]))
+    else:
+        b = 0 if kind == "constant" else draw(st.integers(1, 5))
+        q, s = [draw(nonzero)], [Fraction(1)]
+    num = _ref_trim([Fraction(0)] * a + _ref_mul(p, s))
+    den = [Fraction(0)] * b + _ref_mul(q, s)
+    return num, den
+
+
+def _check_canonical(r, num, den):
+    expected = _ref_canonical(num, den)
+    assert (r.num, r.den) == expected
+    assert all(type(c) is Fraction for c in r.num + r.den)
+
+
+@pytest.mark.parametrize("kind", ["constant", "power", "general"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_canonical_form_matches_reference(kind, data):
+    num, den = data.draw(split_pairs(kind))
+    _check_canonical(RationalFunction(num, den), num, den)
+    # the arithmetic reaches the same form through the private constructor
+    _check_canonical(RationalFunction(num) / RationalFunction(den), num, den)
+    _check_canonical(RationalFunction(num) * RationalFunction(1, den), num, den)
+    neg = -RationalFunction(num, den)
+    assert (neg.num, neg.den) == (tuple(-c for c in _ref_canonical(num, den)[0]),
+                                  _ref_canonical(num, den)[1])
+
+
+@settings(deadline=None)
+@given(split_pairs("power"), split_pairs("general"))
+def test_sum_of_mixed_denominators_matches_reference(left, right):
+    (n1, d1), (n2, d2) = left, right
+    num = _ref_add(_ref_mul(n1, d2) if n1 else [], _ref_mul(n2, d1) if n2 else [])
+    den = _ref_mul(d1, d2)
+    total = RationalFunction(n1, d1) + RationalFunction(n2, d2)
+    _check_canonical(total, num, den)

@@ -213,9 +213,9 @@ def test_canonical_form_matches_reference(kind, data):
     # the arithmetic reaches the same form through the private constructor
     _check_canonical(RationalFunction(num) / RationalFunction(den), num, den)
     _check_canonical(RationalFunction(num) * RationalFunction(1, den), num, den)
+    ref_num, ref_den = _ref_canonical(num, den)
     neg = -RationalFunction(num, den)
-    assert (neg.num, neg.den) == (tuple(-c for c in _ref_canonical(num, den)[0]),
-                                  _ref_canonical(num, den)[1])
+    assert (neg.num, neg.den) == (tuple(-c for c in ref_num), ref_den)
 
 
 @settings(deadline=None)

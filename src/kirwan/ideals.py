@@ -3,11 +3,15 @@ and the graded bookkeeping (standard monomials, Hilbert series, localized
 rank) that every ring presentation here is built on.
 
 Buchberger runs the normal pair-selection strategy (minimal weighted lcm
-degree, then lcm order key, then indices) with the product and chain
-criteria.  Every cached basis is re-verified against the S-criterion at cache
-fill; resource budgets raise hard errors rather than truncating.  An ideal
-also keeps the colon ideals and sums derived from it, so each is computed
-(and certified) once however many callers ask for it.
+degree, then lcm order key, then indices).  One routine, _gm_update, keeps
+its pairs: the Gebauer–Möller update, on packed leading monomials, as each
+element joins.  _verify_s_criterion folds the same routine over a finished
+basis and reduces the pairs it keeps, which decides exactly whether the basis
+is a Groebner basis.  Every basis is verified before it is used: at cache
+fill, and intersect's extended basis before it is restricted.  Resource
+budgets raise hard errors rather than truncating.  An ideal also keeps the
+colon ideals and sums derived from it, so each is computed (and certified)
+once however many callers ask for it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import _kernel as K
+from ._kernel.pure import _packer
 from .errors import BudgetExceeded, ParseError, VerificationError
 from .rings import (
     BlockOrder,
@@ -115,6 +120,54 @@ class GBData:
     lts: tuple  # leading monomials, ascending
 
 
+def _gm_update(lms: list, nonzero: list, live: dict, guard: int) -> list:
+    """Gebauer–Möller UPDATE as element t = len(lms) - 1 joins elements 0..t-1.
+
+    lms holds packed leading monomials, nonzero the matching masks of nonzero
+    fields (this call appends t's), live maps each pending pair (i, j), i < j,
+    to its packed lcm.  Drops from live each pair (i, j) with lm(t) | lcm(i, j)
+    that differs from both lcm(i, t) and lcm(j, t) (criterion B).  Of the new
+    pairs (i, t) it keeps one per lcm that no other new lcm properly divides
+    (criteria M and F), unless a pair with that lcm has coprime leading
+    monomials (product criterion); it adds those to live and returns them as
+    (lcm, i, t).  Gebauer & Möller, "On an installation of Buchberger's
+    algorithm", JSC 1988.
+    """
+    ones = guard >> 15
+    full = (guard << 1) - ones
+    h = lms[-1]
+    t = len(nonzero)
+    hz = ((h | guard) - ones) & guard
+    # fieldwise max over the kernel's 16-bit fields, guard bit on top: a
+    # field's guard bit survives (a | guard) - h iff a >= h there
+    with_t = []
+    for a in lms[:t]:
+        m = ((((a | guard) - h) & guard) >> 15) * 0xFFFF
+        with_t.append((a & m) | (h & (full ^ m)))
+    for pair in [p for p, lcm in live.items()
+                 if not (lcm - h) & guard and with_t[p[0]] != lcm and with_t[p[1]] != lcm]:
+        del live[pair]
+    first: dict = {}  # lcm -> first i with it, or None once a coprime pair has it
+    for i, lcm in enumerate(with_t):
+        if nonzero[i] & hz:
+            first.setdefault(lcm, i)
+        else:
+            first[lcm] = None
+    nonzero.append(hz)
+    # a divisor is fieldwise smaller, so also smaller as an int
+    minimal: list = []
+    new = []
+    for lcm in sorted(first):
+        if any(not (lcm - m) & guard for m in minimal):
+            continue
+        minimal.append(lcm)
+        i = first[lcm]
+        if i is not None:
+            live[i, t] = lcm
+            new.append((lcm, i, t))
+    return new
+
+
 def _buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
                 budgets: Budgets) -> GBData:
     table = order.table
@@ -124,55 +177,38 @@ def _buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     nvars = len(table)
     mask = table.guard_mask
 
-    basis = [_kp(g, spec)[0] for g in generators if not g.is_zero()]
-
     def wdeg(mono) -> int:
         return sum(e * w for e, w in zip(mono, weights))
 
-    for kp in basis:
+    gens = [_kp(g, spec)[0] for g in generators if not g.is_zero()]
+    for kp in gens:
         if wdeg(kp[1]) > wcap:
             raise BudgetExceeded(
                 f"generator degree {2 * wdeg(kp[1])} exceeds budget {budgets.max_degree}",
                 kind="degree", limit=budgets.max_degree, observed=2 * wdeg(kp[1]),
             )
 
-    pairs: list = []
-    done: set = set()
+    basis: list = []
+    lms: list = []
+    nonzero: list = []
+    live: dict = {}
+    pairs: list = []  # heap of (lcm degree, lcm key, i, j); stale once out of live
 
-    def push_pairs(j: int):
-        for i in range(j):
-            lcm_m = tuple(max(a, b) for a, b in zip(basis[i][1], basis[j][1]))
+    def join(kp):
+        basis.append(kp)
+        lms.append(kp[4])
+        for lcm, i, j in _gm_update(lms, nonzero, live, mask):
+            lcm_m = table.unpack(lcm)
             heapq.heappush(pairs, (wdeg(lcm_m), K.key_of(spec, lcm_m), i, j))
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    for kp in gens:
+        join(kp)
 
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
-        if (i, j) in done:
+        if live.pop((i, j), None) is None:
             continue
-        done.add((i, j))
-        fi, fj = basis[i], basis[j]
-        # product criterion: coprime leading monomials reduce to zero for free
-        if all(a == 0 or b == 0 for a, b in zip(fi[1], fj[1])):
-            continue
-        # chain criterion: a third element divides the lcm and both its pairs
-        # with i and j are already settled (packed: h | lcm iff no field of
-        # lcm - h borrows into its guard bit)
-        lcm_p = table.pack(tuple(map(max, fi[1], fj[1])))
-        skip = False
-        for k, h in enumerate(basis):
-            if k == i or k == j:
-                continue
-            if not (lcm_p - h[4]) & mask:
-                ik = (min(i, k), max(i, k))
-                jk = (min(j, k), max(j, k))
-                if ik in done and jk in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = K.kp_spoly(fi, fj, spec)
+        s = K.kp_spoly(basis[i], basis[j], spec)
         if s is None:
             continue
         _, _, nf = K.kp_normal_form(s, basis, spec)
@@ -190,8 +226,7 @@ def _buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
                 f"basis size {len(basis) + 1} exceeds budget {budgets.max_basis}",
                 kind="basis", limit=budgets.max_basis, observed=len(basis) + 1,
             )
-        basis.append(kp)
-        push_pairs(len(basis) - 1)
+        join(kp)
 
     # minimalize: ascending leading terms, drop anything an earlier one divides
     minimal: list = []
@@ -215,22 +250,44 @@ def _buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
 
 
 def _verify_s_criterion(data: GBData) -> None:
-    """Assert that every S-polynomial of the basis reduces to zero.
+    """Raise VerificationError unless data.kps is a Groebner basis.
 
-    The product-criterion skip is unconditionally sound (coprime leading
-    terms), so it is the only shortcut allowed here.
+    Folds _gm_update over g_1, ..., g_n, then reduces the S-polynomial of each
+    pair left, in that order, modulo the whole basis.  This is Buchberger's
+    algorithm with Gebauer–Möller updates on an input that needs no new
+    element, and it decides exactly "G is a Groebner basis":
+
+    - G is one iff S(g_i, g_j) reduces to zero for every pair in a set whose
+      syzygies σ_ij generate the syzygies of the leading terms (Cox, Little
+      & O'Shea, "Ideals, Varieties, and Algorithms", Ch. 2 §10).
+    - If lm(k) divides lcm(i, j), σ_ij is a monomial combination of σ_ik and
+      σ_kj, whose lcms divide lcm(i, j).  Criterion M drops (i, t) for a
+      (k, t) whose lcm properly divides lcm(i, t); F drops it for the one
+      (k, t) kept, or a coprime one, with the same lcm; B drops (i, j) only
+      when lcm(i, t) and lcm(j, t) both properly divide lcm(i, j).  By
+      induction on the lcm under divisibility, then on the later index, each
+      dropped σ lies in the span of the kept and the coprime pairs.
+    - A coprime pair reduces to zero outright (Buchberger's first criterion).
+
+    So a basis fails here iff some S-polynomial does not reduce to zero.
     """
     kps = data.kps
-    for i in range(len(kps)):
-        for j in range(i + 1, len(kps)):
-            if all(a == 0 or b == 0 for a, b in zip(kps[i][1], kps[j][1])):
-                continue
-            s = K.kp_spoly(kps[i], kps[j], data.spec)
-            _, _, nf = K.kp_normal_form(s, list(kps), data.spec)
-            if nf:
-                raise VerificationError(
-                    f"S-polynomial of basis elements {i}, {j} does not reduce to zero"
-                )
+    if not kps:
+        return
+    guard = _packer(len(kps[0][1]))[1]
+    lms: list = []
+    nonzero: list = []
+    live: dict = {}
+    for kp in kps:
+        lms.append(kp[4])
+        _gm_update(lms, nonzero, live, guard)
+    for i, j in live:
+        s = K.kp_spoly(kps[i], kps[j], data.spec)
+        _, _, nf = K.kp_normal_form(s, kps, data.spec)
+        if nf:
+            raise VerificationError(
+                f"S-polynomial of basis elements {i}, {j} does not reduce to zero"
+            )
 
 
 class Ideal:
@@ -334,6 +391,7 @@ class Ideal:
         gens = [t * g.reindex(ext) for g in self.generators]
         gens += [(one - t) * g.reindex(ext) for g in other.generators]
         data = _buchberger(gens, BlockOrder(ext, 1), budgets or DEFAULT_BUDGETS)
+        _verify_s_criterion(data)
         # a t-free leading term forces the whole element t-free under the
         # block order, and the restriction of the reduced extended basis is
         # the reduced basis of the intersection for this table's grevlex:

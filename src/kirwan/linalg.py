@@ -89,22 +89,3 @@ def solve(rows: Sequence[Sequence], rhs: Sequence, zero, one):
     for r, col in enumerate(pivots):
         x[col] = red[r][ncols]
     return x
-
-
-def kernel_basis(rows: Sequence[Sequence], zero, one) -> list:
-    """Basis of the right null space, one vector per free column."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows, zero, one)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[free] = one
-        for r, col in enumerate(pivots):
-            v[col] = zero - red[r][free]
-        basis.append(v)
-    return basis

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import VerificationError
 from .ideals import Ideal, QuotientRing
-from .ratfield import RationalFunction
+from .ratfield import RationalFunction, _uscale
 from .rings import GrevlexOrder, Polynomial, VariableTable, parse_polynomial
 
 RF = RationalFunction
@@ -152,7 +152,11 @@ class FixedComponent:
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 c12 = c1 * c2
-                _accumulate(out, [(m, c12 * q) for m, q in self._mono_product(m1, m2)])
+                # c12 is canonical and q a nonzero rational: c12·q needs no gcd
+                _accumulate(out, [
+                    (m, c12 if q == 1 else RF._new(_uscale(c12.num, q), c12.den))
+                    for m, q in self._mono_product(m1, m2)
+                ])
         return out
 
     def evaluate(self, names: Sequence[str], terms, images: Mapping) -> dict:

@@ -4,9 +4,11 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from kirwan import linalg
-from kirwan.errors import BudgetExceeded
-from kirwan.ideals import Budgets, Ideal, QuotientRing, formality_check
+from kirwan import _kernel as K
+from kirwan import ideals, linalg
+from kirwan.errors import BudgetExceeded, VerificationError
+from kirwan.hyperpolygon import EdgeLengths, full_report
+from kirwan.ideals import GBData, Budgets, Ideal, QuotientRing, formality_check
 from kirwan.rings import (
     GrevlexOrder,
     LexOrder,
@@ -310,3 +312,127 @@ def test_ideal_roundtrip_dict():
     back = Ideal.from_dict(ideal.to_dict())
     assert back.table == T
     assert back.equals(ideal)
+
+
+# ---------------------------------------------------------------------------
+# S-criterion verification: the Gebauer–Möller verifier against an all-pairs
+# oracle that reduces every pair with non-coprime leading monomials
+
+
+def all_pairs_verify(data):
+    kps = data.kps
+    for i in range(len(kps)):
+        for j in range(i + 1, len(kps)):
+            if all(a == 0 or b == 0 for a, b in zip(kps[i][1], kps[j][1])):
+                continue
+            s = K.kp_spoly(kps[i], kps[j], data.spec)
+            _, _, nf = K.kp_normal_form(s, list(kps), data.spec)
+            if nf:
+                raise VerificationError(f"S-polynomial of {i}, {j} does not reduce to zero")
+
+
+def verdicts(data):
+    out = []
+    for verify in (all_pairs_verify, ideals._verify_s_criterion):
+        try:
+            verify(data)
+        except VerificationError:
+            out.append(False)
+        else:
+            out.append(True)
+    return out
+
+
+@pytest.fixture(scope="module")
+def report_bases():
+    """Every basis _buchberger returns in the n = 4 and n = 5 golden reports."""
+    bases = []
+    build = ideals._buchberger
+
+    def record(*args):
+        data = build(*args)
+        bases.append(data)
+        return data
+
+    ideals._buchberger = record
+    try:
+        for xi in ([1, 1, 1, 2], [1, 2, 4, 8, 16]):
+            full_report(EdgeLengths(xi))
+    finally:
+        ideals._buchberger = build
+    return bases
+
+
+def test_both_verifiers_accept_report_bases(report_bases):
+    # 14 runs per report, two of them intersect's extended block-order bases
+    assert len(report_bases) == 28
+    assert sum(d.spec[:2] == ("block", 1) for d in report_bases) == 4
+    for data in report_bases:
+        assert verdicts(data) == [True, True]
+
+
+def test_both_verifiers_reject_the_same_mutants(report_bases):
+    rng = random.Random(2003)
+    sites = [(b, e, k) for b, data in enumerate(report_bases)
+             for e, kp in enumerate(data.kps) for k in range(len(kp[3]))]
+    rejected = 0
+    sample = rng.sample(sites, 120)
+    for b, e, k in sample:
+        data = report_bases[b]
+        kp = data.kps[e]
+        tail = list(kp[3])
+        nk, pm, c = tail[k]
+        tail[k] = (nk, pm, c + rng.choice([-1, 1]) * rng.randint(1, 3))
+        kps = data.kps[:e] + (kp[:3] + (tuple(tail),) + kp[4:],) + data.kps[e + 1:]
+        accept_oracle, accept_gm = verdicts(GBData(kps=kps, spec=data.spec, lts=data.lts))
+        assert accept_oracle == accept_gm, (b, e, k)
+        rejected += not accept_gm
+    assert rejected >= 0.8 * len(sample)
+
+
+@pytest.mark.parametrize("texts, kept, dropped", [
+    # S(x*y, x^2 + 2*y^2) = -2*y^3 is the one pair that does not reduce;
+    # (x*z, y*z) is dropped, since x*y divides its lcm x*y*z
+    (["x*y", "x*z", "y*z", "x^2 + 2*y^2"], (0, 3), (1, 2)),
+    # pairs (0, 1) and (0, 2) both leave y*w^3 at the lcm x^2*y*z; criterion M
+    # drops (0, 2) for (1, 2), whose lcm x*y*z divides it, so criterion B must
+    # keep (0, 1) although y*z divides its lcm
+    (["x^2*z + w^3", "x*y", "y*z"], (0, 1), (0, 2)),
+])
+def test_verifier_rejects_a_failing_pair_gm_keeps(texts, kept, dropped):
+    T = VariableTable(["x", "y", "z", "w"])
+    kps = tuple(ideals._kp(P(T, text), T.spec)[0] for text in texts)
+    data = GBData(kps=kps, spec=T.spec, lts=tuple(kp[1] for kp in kps))
+    lms, nonzero, live = [], [], {}
+    for kp in kps:
+        lms.append(kp[4])
+        ideals._gm_update(lms, nonzero, live, T.guard_mask)
+    assert kept in live and dropped not in live
+    assert verdicts(data) == [False, False]
+    with pytest.raises(VerificationError, match="elements {}, {} ".format(*kept)):
+        ideals._verify_s_criterion(data)
+
+
+def test_verifier_reduces_fewer_pairs_than_oracle(monkeypatch):
+    # cyclic-4: the oracle reduces 13 pairs of its 7-element basis, GM keeps 8
+    T = VariableTable(["a", "b", "c", "d"])
+    gens = ["a + b + c + d", "a*b + b*c + c*d + d*a", "a*b*c + b*c*d + c*d*a + d*a*b",
+            "a*b*c*d - 1"]
+    data = Ideal(T, [P(T, g) for g in gens])._gb()
+    calls = []
+    nf = K.kp_normal_form
+    monkeypatch.setattr(K, "kp_normal_form", lambda *a: calls.append(1) or nf(*a))
+    all_pairs_verify(data)
+    oracle = len(calls)
+    calls.clear()
+    ideals._verify_s_criterion(data)
+    assert 0 < len(calls) < oracle
+
+
+def test_intersect_verifies_its_extended_basis(monkeypatch):
+    seen = []
+    verify = ideals._verify_s_criterion
+    monkeypatch.setattr(ideals, "_verify_s_criterion", lambda d: seen.append(d.spec) or verify(d))
+    T = VariableTable(["u", "v"])
+    Ideal(T, [P(T, "u^2"), P(T, "u*v")]).intersect(Ideal(T, [P(T, "v^2")]))
+    assert [spec[0] for spec in seen] == ["block", "grevlex"]

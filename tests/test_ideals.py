@@ -8,7 +8,7 @@ from kirwan import _kernel as K
 from kirwan import ideals, linalg
 from kirwan.errors import BudgetExceeded, VerificationError
 from kirwan.hyperpolygon import EdgeLengths, full_report
-from kirwan.ideals import GBData, Budgets, Ideal, QuotientRing, formality_check
+from kirwan.ideals import Budgets, GBData, Ideal, QuotientRing, formality_check
 from kirwan.rings import (
     GrevlexOrder,
     LexOrder,

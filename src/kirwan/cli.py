@@ -292,8 +292,7 @@ def _cmd_betti(args) -> tuple:
     inst, payload = _instance(args)
     betti = betti_numbers(inst)
     konno = konno_ring(inst.n, budgets=inst.budgets)
-    top = konno.top_degree()
-    kdims = [konno.graded_dimension(d) for d in range(0, top + 1, 2)]
+    kdims = konno.dimensions()
     payload.update(betti=betti, truncation_model=kdims, agrees=betti == kdims)
     return payload, payload["agrees"]
 

@@ -1,6 +1,6 @@
 """Groebner engine: reduced bases, normal forms, intersections, colon ideals,
-and the graded bookkeeping (standard monomials, Hilbert series, localized
-rank) that every ring presentation here is built on.
+and the graded bookkeeping (standard monomials, exact Hilbert numerators,
+localized rank) that every ring presentation here is built on.
 
 Buchberger runs the normal pair-selection strategy (minimal weighted lcm
 degree, then lcm order key, then indices).  One routine, _gm_update, keeps
@@ -9,9 +9,10 @@ element joins.  _verify_s_criterion folds the same routine over a finished
 basis and reduces the pairs it keeps, which decides exactly whether the basis
 is a Groebner basis.  Every basis is verified before it is used: at cache
 fill, and intersect's extended basis before it is restricted.  Resource
-budgets raise hard errors rather than truncating.  An ideal also keeps the
-colon ideals and sums derived from it, so each is computed (and certified)
-once however many callers ask for it.
+budgets raise hard errors rather than truncating.  Colon ideals are
+certified by the Hilbert exact sequence, whatever proposed them, and an ideal
+keeps the colons and sums derived from it, so each is computed (and
+certified) once however many callers ask for it.
 """
 
 from __future__ import annotations
@@ -290,6 +291,62 @@ def _verify_s_criterion(data: GBData) -> None:
             )
 
 
+def _add_shifted(a: tuple, b: tuple, shift: int, sign: int) -> tuple:
+    """a + sign·t^shift·b on integer coefficient tuples, trailing zeros dropped."""
+    out = list(a) + [0] * max(0, shift + len(b) - len(a))
+    for k, c in enumerate(b):
+        out[k + shift] += sign * c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _hilbert_numerator(lts: Iterable, weights: Sequence[int]) -> tuple:
+    """HN(R/M), HS(R/M) = HN / ∏(1 − t^w_i), for M = ⟨lts⟩ (exponent tuples);
+    coefficients of t^0, t^1, ... by weight.
+
+    Pivots on p = x_i^e, x_i in the most minimal generators, e its least
+    exponent there: HN(M) = HN(M + ⟨p⟩) + t^(deg p)·HN(M : p), by the exact
+    sequence 0 → R/(M:p)(−deg p) → R/M → R/(M+⟨p⟩) → 0, and both sides have a
+    smaller exponent sum.  Pairwise coprime generators give ∏(1 − t^(deg m)).
+    Bigatti, "Computation of Hilbert–Poincaré series", JPAA 1997.
+    """
+    gens: list = []
+    # a divisor has the smaller exponent sum, so it is kept first
+    for m in sorted(set(lts), key=sum):
+        if not any(all(a <= b for a, b in zip(g, m)) for g in gens):
+            gens.append(m)
+    if gens and not any(gens[0]):
+        return ()  # unit ideal
+    n = len(weights)
+    counts = [sum(1 for g in gens if g[i]) for i in range(n)]
+    if max(counts, default=0) <= 1:
+        out = (1,)
+        for m in gens:
+            out = _add_shifted(out, out, sum(e * w for e, w in zip(m, weights)), -1)
+        return out
+    i = counts.index(max(counts))
+    e = min(g[i] for g in gens if g[i])
+    plus = [g for g in gens if not g[i]] + [(0,) * i + (e,) + (0,) * (n - i - 1)]
+    colon = [g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens]
+    return _add_shifted(_hilbert_numerator(plus, weights),
+                        _hilbert_numerator(colon, weights), e * weights[i], 1)
+
+
+def _hilbert_series(lts: Iterable, weights: Sequence[int]) -> tuple | None:
+    """HS(R/⟨lts⟩) as a polynomial, dimensions by weight, or None when the
+    quotient is infinite-dimensional: some division of HN by 1 − t^w is inexact."""
+    series = _hilbert_numerator(lts, weights)
+    for w in weights:
+        q = list(series)
+        for k in range(w, len(q)):
+            q[k] += q[k - w]
+        if any(q[-w:]):
+            return None
+        series = tuple(q[:-w])
+    return series
+
+
 class Ideal:
     """An ideal with a preferred order and verified reduced-basis caching."""
 
@@ -353,12 +410,10 @@ class Ideal:
     def contains(self, p: Polynomial, budgets: Budgets | None = None) -> bool:
         return self.normal_form(p, budgets=budgets).is_zero()
 
-    def contains_ideal(self, other: "Ideal", budgets: Budgets | None = None) -> bool:
-        return all(self.contains(g, budgets=budgets) for g in other.generators)
-
     def equals(self, other: "Ideal", budgets: Budgets | None = None) -> bool:
         """Mutual containment, checked generator by generator."""
-        return self.contains_ideal(other, budgets) and other.contains_ideal(self, budgets)
+        return all(a.contains(g, budgets=budgets)
+                   for a, b in ((self, other), (other, self)) for g in b.generators)
 
     def sum_with(self, extra: Iterable[Polynomial]) -> "Ideal":
         """I + ⟨extra⟩, memoized per tuple of extra generators."""
@@ -410,27 +465,48 @@ class Ideal:
         result._fill(result.order, rdata)
         return result
 
-    def colon(self, f: Polynomial, budgets: Budgets | None = None) -> "Ideal":
-        """(I : f) via intersect(I, ⟨f⟩) followed by exact division by f.
+    def hilbert_numerator(self, budgets: Budgets | None = None) -> tuple:
+        """HN(R/I), HS(R/I) = HN / ∏(1 − t^w_i), from the verified basis's
+        leading monomials, whose standard monomials are a graded basis of R/I
+        for homogeneous I; a non-homogeneous generator raises ValueError."""
+        if not all(g.is_homogeneous() for g in self.generators):
+            raise ValueError("Hilbert numerator of a non-homogeneous ideal")
+        return _hilbert_numerator(self._gb(budgets=budgets).lts, self.table.weights)
 
-        Inexact division signals a bug, never bad input.  The result is
-        certified before it is memoized per divisor: every generator times f
-        reduces to zero modulo I, and I is contained in the result.
+    def colon(self, f: Polynomial, budgets: Budgets | None = None,
+              candidate: "Ideal | None" = None) -> "Ideal":
+        """(I : f) for homogeneous I and f, certified and memoized per divisor.
+
+        K is the candidate, or else the exact quotients by f of the basis of
+        I ∩ ⟨f⟩.  Each generator of K times f reduces to zero modulo I, so
+        K ⊆ (I : f).  The exact sequence 0 → R/(I:f)(−deg f) → R/I →
+        R/(I+⟨f⟩) → 0 gives HN(R/I) − HN(R/(I+⟨f⟩)) = t^(deg f)·HN(R/(I:f));
+        when HN(R/K) satisfies it too, the surjection R/K → R/(I:f) is
+        between equal Hilbert series, so K = (I : f).  A failure raises
+        VerificationError, a non-homogeneous I, f or K ValueError.  A
+        certified colon is returned again unless another candidate is given.
         """
         if f.is_zero():
             raise ZeroDivisionError("colon by the zero polynomial")
-        if f in self._colons:
-            return self._colons[f]
-        inter = self.intersect(Ideal(self.table, [f], self.order), budgets)
-        quots = [g.exact_divide(f) for g in inter.groebner_basis(budgets=budgets)]
-        result = Ideal(self.table, quots, self.order)
-        for q in quots:
+        cached = self._colons.get(f)
+        if cached is not None and (candidate is None or candidate is cached):
+            return cached
+        if candidate is not None and candidate.table != self.table:
+            raise ValueError("candidate from a different table")
+        quotient = _add_shifted(self.hilbert_numerator(budgets),
+                                self.sum_with([f]).hilbert_numerator(budgets), 0, -1)
+        if candidate is None:
+            inter = self.intersect(Ideal(self.table, [f], self.order), budgets)
+            candidate = Ideal(self.table, [g.exact_divide(f) for g in
+                                           inter.groebner_basis(budgets=budgets)], self.order)
+        numerator = candidate.hilbert_numerator(budgets)
+        for q in candidate.generators:
             if not self.contains(q * f, budgets=budgets):
                 raise VerificationError("colon generator times f is not in the ideal")
-        if not result.contains_ideal(self, budgets):
-            raise VerificationError("colon result does not contain the ideal")
-        self._colons[f] = result
-        return result
+        if _add_shifted(quotient, numerator, f.weighted_degree(), -1):
+            raise VerificationError("colon candidate breaks the Hilbert exact sequence")
+        self._colons[f] = candidate
+        return candidate
 
     # -- serialization ------------------------------------------------------
 
@@ -453,35 +529,6 @@ class Ideal:
         except (KeyError, IndexError, TypeError) as exc:
             raise ParseError(f"malformed ideal payload: {exc}") from exc
         return cls(table, gens, order)
-
-
-@dataclass(frozen=True)
-class HilbertSeries:
-    """Graded dimensions by cohomological degree (all odd degrees are zero).
-
-    dims[k] is the dimension in cohomological degree 2k.  exact means the
-    leading-term ideal is cofinite and the top standard monomial lies within
-    max_degree, so the series is the complete polynomial.
-    """
-
-    dims: tuple
-    max_degree: int
-    exact: bool
-
-    def dimension(self, degree: int) -> int:
-        if degree < 0 or degree % 2 == 1:
-            return 0
-        k = degree // 2
-        if k < len(self.dims):
-            return self.dims[k]
-        if self.exact:
-            return 0
-        raise ValueError(f"degree {degree} beyond computed bound {self.max_degree}")
-
-    def total(self) -> int:
-        if not self.exact:
-            raise ValueError("series is truncated; total dimension unknown")
-        return sum(self.dims)
 
 
 def _std_monomials_of_weight(lts: Sequence, weights: Sequence[int], w: int) -> list:
@@ -511,20 +558,6 @@ def _std_monomials_of_weight(lts: Sequence, weights: Sequence[int], w: int) -> l
 
     rec(0, w)
     return out
-
-
-def _pure_power_bound(lts: Sequence, weights: Sequence[int]) -> int | None:
-    """Σ (p_i - 1)·w_i over the least pure powers x_i^p_i among lts, a bound
-    on the weight of every standard monomial; None if some x_i has none."""
-    pure: list = [None] * len(weights)
-    for m in lts:
-        support = [i for i, e in enumerate(m) if e]
-        if len(support) == 1:
-            i = support[0]
-            pure[i] = m[i] if pure[i] is None else min(pure[i], m[i])
-    if None in pure:
-        return None
-    return sum((p - 1) * w for p, w in zip(pure, weights))
 
 
 class QuotientRing:
@@ -574,36 +607,23 @@ class QuotientRing:
             row[index[m]] = c
         return row
 
+    def dimensions(self) -> list:
+        """Graded dimensions in degrees 0, 2, ... up to the top (cofinite only)."""
+        series = _hilbert_series(self._lts(), self.table.weights)
+        if series is None:
+            raise ValueError("quotient is not finite-dimensional")
+        return list(series)
+
     def is_cofinite(self) -> bool:
-        """True when every variable has a pure power among the leading terms."""
-        lts = self._lts()
-        # the unit ideal counts as cofinite
-        return any(not any(m) for m in lts) or _pure_power_bound(lts, self.table.weights) is not None
+        """True when the quotient is finite-dimensional."""
+        return _hilbert_series(self._lts(), self.table.weights) is not None
 
     def top_degree(self) -> int:
-        """Largest degree with a standard monomial (cofinite quotients only)."""
-        if not self.is_cofinite():
-            raise ValueError("quotient is not finite-dimensional")
-        lts = self._lts()
-        if any(not any(m) for m in lts):
-            return -1  # zero ring: no standard monomials at all
-        for w in range(_pure_power_bound(lts, self.table.weights), -1, -1):
-            if _std_monomials_of_weight(lts, self.table.weights, w):
-                return 2 * w
-        return -1
+        """Largest degree with a standard monomial, -1 for the zero ring."""
+        return max(2 * len(self.dimensions()) - 2, -1)
 
     def total_dimension(self) -> int:
-        top = self.top_degree()
-        return sum(self.graded_dimension(d) for d in range(0, top + 1, 2))
-
-    def hilbert_series(self, max_degree: int) -> HilbertSeries:
-        cof = self.is_cofinite()
-        exact = False
-        if cof:
-            top = self.top_degree()
-            exact = top <= max_degree
-        dims = tuple(self.graded_dimension(2 * k) for k in range(max_degree // 2 + 1))
-        return HilbertSeries(dims=dims, max_degree=max_degree, exact=exact)
+        return sum(self.dimensions())
 
     def plus(self, extra: Iterable[Polynomial]) -> "QuotientRing":
         return QuotientRing(self.ideal.sum_with(extra), self.budgets)
@@ -618,33 +638,24 @@ class QuotientRing:
         """
         if self.table.names[-1] != xname:
             raise ValueError(f"{xname} must be the last variable")
-        n = len(self.table)
-        order = BlockOrder(self.table, n - 1)
-        data = self.ideal._gb(order, self.budgets)
-        ylts = [m[:-1] for m in data.lts]
-        if any(not any(m) for m in ylts):
-            return 0
-        yweights = self.table.weights[:-1]
-        bound = _pure_power_bound(ylts, yweights)
-        if bound is None:
+        data = self.ideal._gb(BlockOrder(self.table, len(self.table) - 1), self.budgets)
+        series = _hilbert_series([m[:-1] for m in data.lts], self.table.weights[:-1])
+        if series is None:
             raise ValueError("localized module has infinite rank")
-        return sum(len(_std_monomials_of_weight(ylts, yweights, w)) for w in range(bound + 1))
+        return sum(series)
 
 
-def formality_check(ring: QuotientRing, xname: str = "x", slack: int = 3) -> bool:
-    """Freeness over Q[x] via the series identity dim_d(R) = Σ_k dim_{d−2k}(R/x).
+def formality_check(ring: QuotientRing, xname: str = "x") -> bool:
+    """Freeness of R over Q[x]: HN(R/⟨x⟩) = (1 − t^w_x)·HN(R), exactly.
 
-    Checked degreewise up to the top degree of R/⟨x⟩ plus slack steps; R/⟨x⟩
-    must be finite-dimensional for the bound to exist.
+    R/⟨x⟩ must be finite-dimensional (ValueError otherwise), so R is finitely
+    generated over Q[x] and free iff (0:x) = 0; the exact sequence
+    0 → (0:x)(−w_x) → R(−w_x) → R → R/⟨x⟩ → 0 adds t^w_x·HN((0:x)) to the right.
     """
     x = Polynomial.variable(ring.table, xname)
     mod_x = ring.plus([x])
     if not mod_x.is_cofinite():
         raise ValueError("quotient by x is not finite-dimensional")
-    top = mod_x.top_degree()
-    bound = top + 2 * slack
-    for d in range(0, bound + 1, 2):
-        expected = sum(mod_x.graded_dimension(d - 2 * k) for k in range(d // 2 + 1))
-        if ring.graded_dimension(d) != expected:
-            return False
-    return True
+    numerator = ring.ideal.hilbert_numerator(ring.budgets)
+    wx = ring.table.weights[ring.table.index(xname)]
+    return mod_x.ideal.hilbert_numerator(ring.budgets) == _add_shifted(numerator, numerator, wx, -1)

@@ -78,8 +78,12 @@ def criterion(capsys, num: int, slug: str):
 def test_criterion_1_prop_hp(capsys, instances):
     with criterion(capsys, 1, "prop-hp"):
         for inst in instances.values():
-            colon = annihilator_ideal(inst)
-            pres = d_presentation_ideal(inst)
+            # annihilator_ideal is the D-presentation certified as (J : e);
+            # compare it with the colon that elimination proposes on a fresh J
+            J = ideal_J(inst)
+            colon = Ideal(J.table, J.generators).colon(inst.euler_e, budgets=inst.budgets)
+            pres = annihilator_ideal(inst)
+            assert pres is d_presentation_ideal(inst)
             for g in colon.groebner_basis():
                 assert pres.contains(g, budgets=inst.budgets)
             for g in pres.groebner_basis():

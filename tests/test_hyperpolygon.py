@@ -122,6 +122,17 @@ def test_prop_hp_colon_equals_presentation(inst3, inst4):
         assert ring.graded_dimension(0) == 1
 
 
+@pytest.mark.parametrize("xi", [(1, 1, 1), (1, 2, 4, 8), (1, 1, 1, 2), (1, 2, 4, 8, 16)])
+def test_eprime_colon_by_elimination_is_the_lifted_d_presentation(xi):
+    inst = HyperpolygonInstance(EdgeLengths(xi))
+    I = ideal_I(inst)
+    colon = Ideal(I.table, I.generators).colon(inst.euler_eprime)
+    embed = {"a2": parse_polynomial(inst.table_P, "a^2")}
+    lifted = Ideal(inst.table_P, [g.substitute(embed, table=inst.table_P)
+                                  for g in d_presentation_ideal(inst).generators])
+    assert colon.equals(lifted)
+
+
 def test_colon_strictly_contains_J(inst4):
     K = annihilator_ideal(inst4)
     for g in ideal_J(inst4).generators:
@@ -381,8 +392,9 @@ def test_report_contents(report4):
 
 
 def test_report_computes_each_thing_once(monkeypatch):
-    # every Groebner run has a distinct input, (J : e) and (I : e') are each
-    # formed once, and each certificate is verified once
+    # every Groebner run has a distinct input, no colon is eliminated, the
+    # bases of J + <e> and I + <e'> behind the colon certificates are each
+    # built once, and each certificate is verified once
     runs = []
     real_gb = ideals._buchberger
 
@@ -405,7 +417,11 @@ def test_report_computes_each_thing_once(monkeypatch):
     )
     report = full_report(EdgeLengths([1, 1, 1, 2]))
     assert runs and len(set(runs)) == len(runs), f"{len(runs)} runs, {len(set(runs))} distinct"
-    assert counts["intersect"] == 2
+    assert counts["intersect"] == 0
+    inst = HyperpolygonInstance(EdgeLengths([1, 1, 1, 2]))
+    for ideal, f in ((ideal_J(inst), inst.euler_e), (ideal_I(inst), inst.euler_eprime)):
+        gens = tuple(g.terms for g in ideal.generators + (f,))
+        assert [g for g, _ in runs].count(gens) == 1
     assert counts["verify"] == len(report["certificates"]) == 7
 
 

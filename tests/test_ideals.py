@@ -7,7 +7,7 @@ import pytest
 from kirwan import _kernel as K
 from kirwan import ideals, linalg
 from kirwan.errors import BudgetExceeded, VerificationError
-from kirwan.hyperpolygon import EdgeLengths, full_report
+from kirwan.hyperpolygon import EdgeLengths, HyperpolygonInstance, full_report, ideal_I, ideal_J
 from kirwan.ideals import Budgets, GBData, Ideal, QuotientRing, formality_check
 from kirwan.rings import (
     GrevlexOrder,
@@ -226,6 +226,42 @@ def test_colon_by_unit_is_identity():
     assert ideal.colon(Polynomial.one(T)).equals(ideal)
 
 
+def test_colon_accepts_a_correct_candidate():
+    T = VariableTable(["u", "v"])
+    ideal = Ideal(T, [P(T, "u*v"), P(T, "v^2")])
+    candidate = Ideal(T, [P(T, "u"), P(T, "v")])
+    assert ideal.colon(P(T, "v"), candidate=candidate) is candidate
+    # memoized: a later call without a candidate reads the certified colon
+    assert ideal.colon(P(T, "v")) is candidate
+
+
+def test_colon_rejects_a_candidate_missing_a_generator():
+    # <u> * v lies in I, so only the Hilbert identity can see that v is missing
+    T = VariableTable(["u", "v"])
+    ideal = Ideal(T, [P(T, "u*v"), P(T, "v^2")])
+    with pytest.raises(VerificationError, match="exact sequence"):
+        ideal.colon(P(T, "v"), candidate=Ideal(T, [P(T, "u")]))
+
+
+def test_colon_rejects_a_candidate_generator_outside_the_colon():
+    T = VariableTable(["u", "v", "w"])
+    ideal = Ideal(T, [P(T, "u*v"), P(T, "v^2")])
+    candidate = Ideal(T, [P(T, "u"), P(T, "v"), P(T, "w")])
+    with pytest.raises(VerificationError, match="not in the ideal"):
+        ideal.colon(P(T, "v"), candidate=candidate)
+
+
+def test_colon_needs_homogeneous_input():
+    T = VariableTable(["u", "v"])
+    ideal = Ideal(T, [P(T, "u*v"), P(T, "v^2")])
+    with pytest.raises(ValueError):
+        ideal.colon(P(T, "v + 1"))
+    with pytest.raises(ValueError):
+        Ideal(T, [P(T, "u*v + u")]).colon(P(T, "v"))
+    with pytest.raises(ValueError):
+        ideal.colon(P(T, "v"), candidate=Ideal(T, [P(T, "u + 1"), P(T, "v")]))
+
+
 # ---------------------------------------------------------------------------
 # quotient rings
 
@@ -237,8 +273,10 @@ def test_quotient_basics():
     assert [ring.graded_dimension(2 * k) for k in range(5)] == [1, 2, 2, 1, 0]
     assert ring.top_degree() == 6
     assert ring.total_dimension() == 6
-    hs = ring.hilbert_series(8)
-    assert hs.exact and hs.dims == (1, 2, 2, 1, 0)
+    # (1 - t^2)(1 - t^3) over the denominator (1 - t)^2
+    assert ring.ideal.hilbert_numerator() == (1, 0, -1, -1, 0, 1)
+    # not cofinite: 1 - t^2
+    assert Ideal(T, [P(T, "u^2 - v^2")]).hilbert_numerator() == (1, 0, -1)
     assert [format_polynomial(b) for b in ring.graded_basis(4)] == ["v^2", "u*v"]
 
 
@@ -345,7 +383,8 @@ def verdicts(data):
 
 @pytest.fixture(scope="module")
 def report_bases():
-    """Every basis _buchberger returns in the n = 4 and n = 5 golden reports."""
+    """Every basis _buchberger returns in the n = 4 and n = 5 golden reports,
+    and the extended bases of J ∩ ⟨e⟩ and I ∩ ⟨e'⟩ there."""
     bases = []
     build = ideals._buchberger
 
@@ -358,14 +397,18 @@ def report_bases():
     try:
         for xi in ([1, 1, 1, 2], [1, 2, 4, 8, 16]):
             full_report(EdgeLengths(xi))
+            # a report certifies its colons without elimination
+            inst = HyperpolygonInstance(EdgeLengths(xi))
+            ideal_J(inst).intersect(Ideal(inst.table_Q, [inst.euler_e]))
+            ideal_I(inst).intersect(Ideal(inst.table_P, [inst.euler_eprime]))
     finally:
         ideals._buchberger = build
     return bases
 
 
 def test_both_verifiers_accept_report_bases(report_bases):
-    # 14 runs per report, two of them intersect's extended block-order bases
-    assert len(report_bases) == 28
+    # 13 runs per report, then the two intersections' extended block-order bases
+    assert len(report_bases) == 30
     assert sum(d.spec[:2] == ("block", 1) for d in report_bases) == 4
     for data in report_bases:
         assert verdicts(data) == [True, True]

@@ -215,7 +215,11 @@ def verify_second_iso(k: KirwanPresentation, budgets: Budgets | None = None,
     if left.is_cofinite() and right.is_cofinite():
         top = max(left.top_degree(), right.top_degree(), 0)
     else:
-        lx, rx = (r.plus([Polynomial.variable(r.table, xname)]) for r in (left, right))
+        def truncated(ring: QuotientRing) -> QuotientRing:
+            x = Polynomial.variable(ring.table, xname)
+            return QuotientRing(ring.ideal.sum_with([x]), budgets=bud)
+
+        lx, rx = truncated(left), truncated(right)
         if not (lx.is_cofinite() and rx.is_cofinite()):
             raise ValueError("no finite comparison bound: x-truncations are infinite")
         top = lx.top_degree() + rx.top_degree() + 4

@@ -333,10 +333,10 @@ def _hilbert_numerator(lts: Iterable, weights: Sequence[int]) -> tuple:
                         _hilbert_numerator(colon, weights), e * weights[i], 1)
 
 
-def _hilbert_series(lts: Iterable, weights: Sequence[int]) -> tuple | None:
-    """HS(R/⟨lts⟩) as a polynomial, dimensions by weight, or None when the
-    quotient is infinite-dimensional: some division of HN by 1 − t^w is inexact."""
-    series = _hilbert_numerator(lts, weights)
+def _hilbert_series(numerator: tuple, weights: Sequence[int]) -> tuple | None:
+    """HS = numerator / ∏(1 − t^w_i) as a polynomial, dimensions by weight, or
+    None when the quotient is infinite-dimensional: some division is inexact."""
+    series = numerator
     for w in weights:
         q = list(series)
         for k in range(w, len(q)):
@@ -367,6 +367,7 @@ class Ideal:
         # like the bases in _cache, derived ideals are kept regardless of the
         # budgets they were computed under
         self._colons: dict = {}
+        self._hn: tuple | None = None
         self._sums: dict = {}
 
     def __repr__(self) -> str:
@@ -410,10 +411,12 @@ class Ideal:
     def contains(self, p: Polynomial, budgets: Budgets | None = None) -> bool:
         return self.normal_form(p, budgets=budgets).is_zero()
 
+    def contains_ideal(self, other: "Ideal", budgets: Budgets | None = None) -> bool:
+        return all(self.contains(g, budgets=budgets) for g in other.generators)
+
     def equals(self, other: "Ideal", budgets: Budgets | None = None) -> bool:
         """Mutual containment, checked generator by generator."""
-        return all(a.contains(g, budgets=budgets)
-                   for a, b in ((self, other), (other, self)) for g in b.generators)
+        return self.contains_ideal(other, budgets) and other.contains_ideal(self, budgets)
 
     def sum_with(self, extra: Iterable[Polynomial]) -> "Ideal":
         """I + ⟨extra⟩, memoized per tuple of extra generators."""
@@ -471,7 +474,13 @@ class Ideal:
         for homogeneous I; a non-homogeneous generator raises ValueError."""
         if not all(g.is_homogeneous() for g in self.generators):
             raise ValueError("Hilbert numerator of a non-homogeneous ideal")
-        return _hilbert_numerator(self._gb(budgets=budgets).lts, self.table.weights)
+        return self._numerator(budgets)
+
+    def _numerator(self, budgets: Budgets | None = None) -> tuple:
+        """HN of the verified basis's leading monomials, computed once."""
+        if self._hn is None:
+            self._hn = _hilbert_numerator(self._gb(budgets=budgets).lts, self.table.weights)
+        return self._hn
 
     def colon(self, f: Polynomial, budgets: Budgets | None = None,
               candidate: "Ideal | None" = None) -> "Ideal":
@@ -607,16 +616,19 @@ class QuotientRing:
             row[index[m]] = c
         return row
 
+    def _series(self) -> tuple | None:
+        return _hilbert_series(self.ideal._numerator(self.budgets), self.table.weights)
+
     def dimensions(self) -> list:
         """Graded dimensions in degrees 0, 2, ... up to the top (cofinite only)."""
-        series = _hilbert_series(self._lts(), self.table.weights)
+        series = self._series()
         if series is None:
             raise ValueError("quotient is not finite-dimensional")
         return list(series)
 
     def is_cofinite(self) -> bool:
         """True when the quotient is finite-dimensional."""
-        return _hilbert_series(self._lts(), self.table.weights) is not None
+        return self._series() is not None
 
     def top_degree(self) -> int:
         """Largest degree with a standard monomial, -1 for the zero ring."""
@@ -639,7 +651,9 @@ class QuotientRing:
         if self.table.names[-1] != xname:
             raise ValueError(f"{xname} must be the last variable")
         data = self.ideal._gb(BlockOrder(self.table, len(self.table) - 1), self.budgets)
-        series = _hilbert_series([m[:-1] for m in data.lts], self.table.weights[:-1])
+        yweights = self.table.weights[:-1]
+        series = _hilbert_series(_hilbert_numerator([m[:-1] for m in data.lts], yweights),
+                                 yweights)
         if series is None:
             raise ValueError("localized module has infinite rank")
         return sum(series)

@@ -118,7 +118,12 @@ def test_euler_classes(inst3):
 def test_prop_hp_colon_equals_presentation(inst3, inst4):
     for inst in (inst3, inst4):
         ring = prop_hp(inst)
-        assert annihilator_ideal(inst).equals(d_presentation_ideal(inst))
+        # prop_hp certifies the D-presentation; elimination on a fresh J
+        # computes (J : e) without it
+        J = ideal_J(inst)
+        colon = Ideal(J.table, J.generators).colon(inst.euler_e)
+        assert colon is not d_presentation_ideal(inst)
+        assert colon.equals(annihilator_ideal(inst))
         assert ring.graded_dimension(0) == 1
 
 
@@ -182,6 +187,28 @@ def test_low_degree_rigidity(inst4, inst5):
 def test_bridge(inst3, inst4):
     assert bridge_check(inst3) is True
     assert bridge_check(inst4) is True
+
+
+def test_bridge_falls_back_to_elimination_for_a_partial_lift(monkeypatch):
+    # drop a generator of (J : e): the lift still lies in (I : e') but is a
+    # proper part of it, so elimination proposes the colon the bridge memoizes
+    inst = HyperpolygonInstance(EdgeLengths([1, 1, 1]))
+    basis = annihilator_ideal(inst).groebner_basis()
+    part = Ideal(inst.table_Q, basis[:-1])
+    monkeypatch.setattr(hyperpolygon, "annihilator_ideal", lambda _: part)
+    assert bridge_check(inst) is True
+    colon = ideal_I(inst).colon(inst.euler_eprime)
+    embed = {"a2": parse_polynomial(inst.table_P, "a^2")}
+    lifted = Ideal(inst.table_P, [g.substitute(embed, table=inst.table_P) for g in basis])
+    assert colon.equals(lifted)
+    assert not colon.equals(Ideal(inst.table_P, lifted.generators[:-1]))
+
+
+def test_bridge_is_false_when_a_lift_leaves_the_colon(monkeypatch):
+    inst = HyperpolygonInstance(EdgeLengths([1, 1, 1]))
+    one = Ideal(inst.table_Q, [Polynomial.one(inst.table_Q)])
+    monkeypatch.setattr(hyperpolygon, "annihilator_ideal", lambda _: one)
+    assert bridge_check(inst) is False
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import VerificationError
-from .ideals import Budgets, QuotientRing
+from .ideals import QuotientRing
 from .rings import Polynomial, VariableTable, parse_polynomial
 
 
@@ -166,11 +166,9 @@ class KirwanPresentation:
         return p.substitute(self.w_action, table=p.table)
 
 
-def kirwan_image(k: KirwanPresentation, budgets: Budgets | None = None) -> QuotientRing:
+def kirwan_image(k: KirwanPresentation) -> QuotientRing:
     """The invariant ambient modulo ann(e), realized as the colon ideal (J : e)."""
-    ideal = k.invariant_ring.ideal
-    ann = ideal.colon(k.euler, budgets=budgets)
-    return QuotientRing(ann, budgets=budgets or k.invariant_ring.budgets)
+    return QuotientRing(k.invariant_ring.ideal.colon(k.euler))
 
 
 def _fixed_dimension(ring: QuotientRing, w_action: Mapping[str, Polynomial],
@@ -186,8 +184,7 @@ def _fixed_dimension(ring: QuotientRing, w_action: Mapping[str, Polynomial],
     return len(rows) - linalg.rank(rows, Fraction(0), Fraction(1)) if rows else 0
 
 
-def verify_second_iso(k: KirwanPresentation, budgets: Budgets | None = None,
-                      xname: str = "x") -> bool:
+def verify_second_iso(k: KirwanPresentation, xname: str = "x") -> bool:
     """Degreewise dimension match of ambient/ann(e) against the W-fixed part
     of full/ann(e'), both computed through certified colon ideals.
 
@@ -209,17 +206,12 @@ def verify_second_iso(k: KirwanPresentation, budgets: Budgets | None = None,
         if not k.full_ring.normal_form(k.apply_w(g)).is_zero():
             raise ValueError("W-action does not preserve the full ideal")
 
-    bud = budgets or k.full_ring.budgets
-    left = kirwan_image(k, budgets=budgets)
-    right = QuotientRing(full_ideal.colon(k.euler_prime, budgets=budgets), budgets=bud)
+    left = kirwan_image(k)
+    right = QuotientRing(full_ideal.colon(k.euler_prime))
     if left.is_cofinite() and right.is_cofinite():
         top = max(left.top_degree(), right.top_degree(), 0)
     else:
-        def truncated(ring: QuotientRing) -> QuotientRing:
-            x = Polynomial.variable(ring.table, xname)
-            return QuotientRing(ring.ideal.sum_with([x]), budgets=bud)
-
-        lx, rx = truncated(left), truncated(right)
+        lx, rx = (ring.plus([Polynomial.variable(ring.table, xname)]) for ring in (left, right))
         if not (lx.is_cofinite() and rx.is_cofinite()):
             raise ValueError("no finite comparison bound: x-truncations are infinite")
         top = lx.top_degree() + rx.top_degree() + 4

@@ -29,9 +29,12 @@ from .ideals import Budgets
 from .hyperpolygon import (
     EdgeLengths,
     HyperpolygonInstance,
+    betti_numbers,
     certify_membership,
     full_report,
+    konno_ring,
     presentation_summary,
+    run_stage,
 )
 from .localization import (
     ProductModel,
@@ -279,7 +282,7 @@ def _cmd_certify(args) -> tuple:
         subsets = inst.table.nonempty_shorts()
     certs = []
     for S in subsets:
-        entry = certify_membership(inst, S).to_dict()
+        entry = run_stage("certificates", lambda S=S: certify_membership(inst, S)).to_dict()
         entry["verified"] = True  # certify_membership raises otherwise
         certs.append(entry)
     payload["certificates"] = certs
@@ -287,12 +290,9 @@ def _cmd_certify(args) -> tuple:
 
 
 def _cmd_betti(args) -> tuple:
-    from .hyperpolygon import betti_numbers, konno_ring
-
     inst, payload = _instance(args)
-    betti = betti_numbers(inst)
-    konno = konno_ring(inst.n, budgets=inst.budgets)
-    kdims = konno.dimensions()
+    betti = run_stage("betti", lambda: betti_numbers(inst))
+    kdims = run_stage("konno", lambda: konno_ring(inst.n, budgets=inst.budgets).dimensions())
     payload.update(betti=betti, truncation_model=kdims, agrees=betti == kdims)
     return payload, payload["agrees"]
 

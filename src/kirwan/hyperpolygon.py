@@ -129,7 +129,9 @@ class HyperpolygonInstance:
         )
         self.euler_e = parse_polynomial(self.table_Q, "a2*x^2 - a2^2")
         self.euler_eprime = parse_polynomial(self.table_P, "a*x^2 - a^3")
-        self._rel_ideal_Q = Ideal(self.table_Q, list(self.relations_Q))
+        # a2 -> a^2: the invariant ambient into the P-side ambient
+        self.embed = {"a2": parse_polynomial(self.table_P, "a^2")}
+        self._rel_ideal_Q = Ideal(self.table_Q, list(self.relations_Q), budgets=self.budgets)
         self._C_cache: dict = {}
         self._D_cache: dict = {}
         self._J: Ideal | None = None
@@ -215,7 +217,7 @@ class HyperpolygonInstance:
 def ideal_J(inst: HyperpolygonInstance) -> Ideal:
     if inst._J is None:
         gens = [inst.C(S) for S in inst.table.shorts]
-        inst._J = Ideal(inst.table_Q, gens + list(inst.relations_Q))
+        inst._J = Ideal(inst.table_Q, gens + list(inst.relations_Q), budgets=inst.budgets)
     return inst._J
 
 
@@ -225,26 +227,25 @@ def ideal_I(inst: HyperpolygonInstance) -> Ideal:
         for S in inst.table.shorts:
             A, B = inst._AB(S, inst.n)
             gens.extend([A, B])
-        inst._I = Ideal(inst.table_P, gens + list(inst.relations_P))
+        inst._I = Ideal(inst.table_P, gens + list(inst.relations_P), budgets=inst.budgets)
     return inst._I
 
 
 def d_presentation_ideal(inst: HyperpolygonInstance) -> Ideal:
     if inst._Dp is None:
         gens = [inst.D(S) for S in inst.table.nonempty_shorts()]
-        inst._Dp = Ideal(inst.table_Q, gens + list(inst.relations_Q))
+        inst._Dp = Ideal(inst.table_Q, gens + list(inst.relations_Q), budgets=inst.budgets)
     return inst._Dp
 
 
 def annihilator_ideal(inst: HyperpolygonInstance) -> Ideal:
     """(J : e): the D-presentation, certified as the colon (memoized on J)."""
-    return ideal_J(inst).colon(inst.euler_e, budgets=inst.budgets,
-                               candidate=d_presentation_ideal(inst))
+    return ideal_J(inst).colon(inst.euler_e, candidate=d_presentation_ideal(inst))
 
 
 def prop_hp(inst: HyperpolygonInstance) -> QuotientRing:
     """The equivariant ring: the D-presentation, certified to be (J : e)."""
-    return QuotientRing(annihilator_ideal(inst), budgets=inst.budgets)
+    return QuotientRing(annihilator_ideal(inst))
 
 
 # -- membership certificates -----------------------------------------------
@@ -394,14 +395,12 @@ def konno_ring(n: int, budgets: Budgets | None = None) -> QuotientRing:
         for i in mono:
             e[i] += 1
         gens.append(Polynomial(table, [(tuple(e), Fraction(1))]))
-    return QuotientRing(Ideal(table, gens), budgets=budgets)
+    return QuotientRing(Ideal(table, gens, budgets=budgets))
 
 
 def ordinary_ring(inst: HyperpolygonInstance) -> QuotientRing:
     """The equivariant ring modulo x."""
-    K1 = annihilator_ideal(inst)
-    x = Polynomial.variable(inst.table_Q, "x")
-    return QuotientRing(K1.sum_with([x]), budgets=inst.budgets)
+    return prop_hp(inst).plus([Polynomial.variable(inst.table_Q, "x")])
 
 
 def betti_numbers(inst: HyperpolygonInstance) -> list:
@@ -413,9 +412,7 @@ def basis_dimension_check(inst: HyperpolygonInstance) -> dict:
     n = inst.n
     deg = 2 * (n - 2)
     x = Polynomial.variable(inst.table_Q, "x")
-    ring = QuotientRing(
-        Ideal(inst.table_Q, list(inst.relations_Q) + [x]), budgets=inst.budgets
-    )
+    ring = QuotientRing(Ideal(inst.table_Q, list(inst.relations_Q) + [x], budgets=inst.budgets))
     rows = [ring.coordinates(inst.D(S), deg) for S in inst.table.nonempty_shorts()]
     rank = linalg.rank(rows, Fraction(0), Fraction(1)) if rows else 0
     return {
@@ -429,8 +426,8 @@ def basis_dimension_check(inst: HyperpolygonInstance) -> dict:
 def low_degree_rigidity(inst: HyperpolygonInstance) -> bool:
     """Below degree 2(n-2), (J : e) adds nothing to J: identical standard
     monomials degreewise."""
-    RJ = QuotientRing(ideal_J(inst), budgets=inst.budgets)
-    RK = QuotientRing(annihilator_ideal(inst), budgets=inst.budgets)
+    RJ = QuotientRing(ideal_J(inst))
+    RK = QuotientRing(annihilator_ideal(inst))
     for d in range(0, 2 * (inst.n - 2), 2):
         if RJ.std_monomials(d) != RK.std_monomials(d):
             return False
@@ -445,16 +442,15 @@ def bridge_check(inst: HyperpolygonInstance) -> bool:
     proposes the colon instead; only a lifted F with e'*F outside I is False.
     """
     I = ideal_I(inst)
-    embed = {"a2": parse_polynomial(inst.table_P, "a^2")}
-    lifted = Ideal(inst.table_P, [F.substitute(embed, table=inst.table_P)
-                                  for F in annihilator_ideal(inst).groebner_basis()])
+    lifted = Ideal(inst.table_P, [F.substitute(inst.embed, table=inst.table_P)
+                                  for F in annihilator_ideal(inst).groebner_basis()],
+                   budgets=inst.budgets)
     try:
-        I.colon(inst.euler_eprime, budgets=inst.budgets, candidate=lifted)
+        I.colon(inst.euler_eprime, candidate=lifted)
     except VerificationError:
-        if not all(I.contains(inst.euler_eprime * F, budgets=inst.budgets)
-                   for F in lifted.generators):
+        if not all(I.contains(inst.euler_eprime * F) for F in lifted.generators):
             return False
-        I.colon(inst.euler_eprime, budgets=inst.budgets)
+        I.colon(inst.euler_eprime)
     return True
 
 
@@ -464,14 +460,13 @@ def su2_datum() -> RootDatum:
 
 
 def second_iso_presentation(inst: HyperpolygonInstance) -> KirwanPresentation:
-    embed = {"a2": parse_polynomial(inst.table_P, "a^2")}
     return KirwanPresentation(
-        QuotientRing(ideal_J(inst), budgets=inst.budgets),
+        QuotientRing(ideal_J(inst)),
         inst.euler_e,
-        full_ring=QuotientRing(ideal_I(inst), budgets=inst.budgets),
+        full_ring=QuotientRing(ideal_I(inst)),
         euler_prime=inst.euler_eprime,
         w_action=inst.weyl_involution(),
-        embed=embed,
+        embed=inst.embed,
         datum=su2_datum(),
     )
 
@@ -497,7 +492,7 @@ def presentation_summary(inst: HyperpolygonInstance) -> dict:
     }
 
 
-def _run_stage(name: str, fn, timings: dict | None = None):
+def run_stage(name: str, fn, timings: dict | None = None):
     start = time.perf_counter()
     try:
         return fn()
@@ -519,7 +514,7 @@ def full_report(lengths: EdgeLengths, budgets: Budgets | None = None,
     timings: dict = {}
 
     def _stage(name, fn):
-        return _run_stage(name, fn, timings)
+        return run_stage(name, fn, timings)
 
     inst = _stage("instance", lambda: HyperpolygonInstance(lengths, budgets=budgets))
     n = inst.n
@@ -548,8 +543,7 @@ def full_report(lengths: EdgeLengths, budgets: Budgets | None = None,
     betti = _stage("betti", lambda: betti_numbers(inst))
     report["betti"] = betti
 
-    konno = _stage("konno", lambda: konno_ring(n, budgets=inst.budgets))
-    kdims = konno.dimensions()
+    kdims = _stage("konno", lambda: konno_ring(n, budgets=inst.budgets).dimensions())
     report["konno"] = {"betti": kdims, "agrees": kdims == betti}
 
     report["basis_check"] = _stage("basis_check", lambda: basis_dimension_check(inst))
@@ -566,7 +560,7 @@ def full_report(lengths: EdgeLengths, budgets: Budgets | None = None,
 
     report["formality"] = {
         "ring_J": _stage(
-            "formality", lambda: formality_check(QuotientRing(ideal_J(inst), budgets=inst.budgets), "x")
+            "formality", lambda: formality_check(QuotientRing(ideal_J(inst)), "x")
         ),
         "ring_colon": _stage("formality", lambda: formality_check(ring, "x")),
     }
@@ -585,7 +579,7 @@ def full_report(lengths: EdgeLengths, budgets: Budgets | None = None,
     report["bridge"] = _stage("bridge", lambda: bridge_check(inst))
 
     report["second_iso"] = _stage(
-        "second_iso", lambda: verify_second_iso(second_iso_presentation(inst), budgets=inst.budgets)
+        "second_iso", lambda: verify_second_iso(second_iso_presentation(inst))
     )
     report["timings"] = {name: round(t, 6) for name, t in sorted(timings.items())}
     from . import __version__

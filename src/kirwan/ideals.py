@@ -8,11 +8,15 @@ its pairs: the Gebauer–Möller update, on packed leading monomials, as each
 element joins.  _verify_s_criterion folds the same routine over a finished
 basis and reduces the pairs it keeps, which decides exactly whether the basis
 is a Groebner basis.  Every basis is verified before it is used: at cache
-fill, and intersect's extended basis before it is restricted.  Resource
-budgets raise hard errors rather than truncating.  Colon ideals are
-certified by the Hilbert exact sequence, whatever proposed them, and an ideal
-keeps the colons and sums derived from it, so each is computed (and
+fill, and intersect's extended basis before it is restricted.  Colon ideals
+are certified by the Hilbert exact sequence, whatever proposed them, and an
+ideal keeps the colons and sums derived from it, so each is computed (and
 certified) once however many callers ask for it.
+
+Resource budgets raise hard errors rather than truncating.  There is one
+budget per ideal, fixed when it is built: every Groebner run on its behalf
+runs under it, and every ideal derived from it (a sum, a colon, the colon
+candidate elimination proposes, an intersection) inherits it.
 """
 
 from __future__ import annotations
@@ -348,11 +352,16 @@ def _hilbert_series(numerator: tuple, weights: Sequence[int]) -> tuple | None:
 
 
 class Ideal:
-    """An ideal with a preferred order and verified reduced-basis caching."""
+    """An ideal with a preferred order and verified reduced-basis caching.
+
+    budgets (None: DEFAULT_BUDGETS) bounds every Groebner run of this ideal,
+    and every ideal derived from it inherits the same budgets.
+    """
 
     def __init__(self, table: VariableTable, generators: Iterable[Polynomial],
-                 order: MonomialOrder | None = None):
+                 order: MonomialOrder | None = None, budgets: Budgets | None = None):
         self.table = table
+        self.budgets = budgets or DEFAULT_BUDGETS
         self.order = order or GrevlexOrder(table)
         if self.order.table != table:
             raise ValueError("order is for a different table")
@@ -364,8 +373,6 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._cache: dict = {}
-        # like the bases in _cache, derived ideals are kept regardless of the
-        # budgets they were computed under
         self._colons: dict = {}
         self._hn: tuple | None = None
         self._sums: dict = {}
@@ -381,48 +388,45 @@ class Ideal:
         self._cache[self._order_key(order)] = data
         return data
 
-    def _gb(self, order: MonomialOrder | None = None,
-            budgets: Budgets | None = None) -> GBData:
+    def _gb(self, order: MonomialOrder | None = None) -> GBData:
         order = order or self.order
         key = self._order_key(order)
         if key not in self._cache:
-            data = _buchberger(self.generators, order, budgets or DEFAULT_BUDGETS)
+            data = _buchberger(self.generators, order, self.budgets)
             self._fill(order, data)
         return self._cache[key]
 
-    def groebner_basis(self, order: MonomialOrder | None = None,
-                       budgets: Budgets | None = None) -> tuple:
+    def groebner_basis(self, order: MonomialOrder | None = None) -> tuple:
         """The reduced Groebner basis: monic, inter-reduced, ascending."""
-        data = self._gb(order, budgets)
+        data = self._gb(order)
         return tuple(
             _polynomial(self.table, ((-kp[0], kp[4], kp[2]),) + kp[3], Fraction(1, kp[2]), data.spec)
             for kp in data.kps
         )
 
-    def normal_form(self, p: Polynomial, order: MonomialOrder | None = None,
-                    budgets: Budgets | None = None) -> Polynomial:
+    def normal_form(self, p: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
         if p.table != self.table:
             raise ValueError("polynomial from a different table")
-        data = self._gb(order, budgets)
+        data = self._gb(order)
         kp, sign = _kp(p, data.spec) if p else (None, 1)
         sn, sd, nf = K.kp_normal_form(kp, data.kps, data.spec)
         return _polynomial(self.table, nf, Fraction(sign * sn, sd) * p.scale, data.spec)
 
-    def contains(self, p: Polynomial, budgets: Budgets | None = None) -> bool:
-        return self.normal_form(p, budgets=budgets).is_zero()
+    def contains(self, p: Polynomial) -> bool:
+        return self.normal_form(p).is_zero()
 
-    def contains_ideal(self, other: "Ideal", budgets: Budgets | None = None) -> bool:
-        return all(self.contains(g, budgets=budgets) for g in other.generators)
+    def contains_ideal(self, other: "Ideal") -> bool:
+        return all(self.contains(g) for g in other.generators)
 
-    def equals(self, other: "Ideal", budgets: Budgets | None = None) -> bool:
+    def equals(self, other: "Ideal") -> bool:
         """Mutual containment, checked generator by generator."""
-        return self.contains_ideal(other, budgets) and other.contains_ideal(self, budgets)
+        return self.contains_ideal(other) and other.contains_ideal(self)
 
     def sum_with(self, extra: Iterable[Polynomial]) -> "Ideal":
         """I + ⟨extra⟩, memoized per tuple of extra generators."""
         extra = tuple(extra)
         if extra not in self._sums:
-            self._sums[extra] = Ideal(self.table, self.generators + extra, self.order)
+            self._sums[extra] = Ideal(self.table, self.generators + extra, self.order, self.budgets)
         return self._sums[extra]
 
     # -- elimination-based operations --------------------------------------
@@ -433,7 +437,7 @@ class Ideal:
             name += "t"
         return name
 
-    def intersect(self, other: "Ideal", budgets: Budgets | None = None) -> "Ideal":
+    def intersect(self, other: "Ideal") -> "Ideal":
         """I ∩ J by tag elimination: the t-free part of ⟨t·I, (1−t)·J⟩.
 
         The elimination order restricts to this ideal's own grevlex on the
@@ -448,7 +452,7 @@ class Ideal:
         one = Polynomial.one(ext)
         gens = [t * g.reindex(ext) for g in self.generators]
         gens += [(one - t) * g.reindex(ext) for g in other.generators]
-        data = _buchberger(gens, BlockOrder(ext, 1), budgets or DEFAULT_BUDGETS)
+        data = _buchberger(gens, BlockOrder(ext, 1), self.budgets)
         _verify_s_criterion(data)
         # a t-free leading term forces the whole element t-free under the
         # block order, and the restriction of the reduced extended basis is
@@ -462,28 +466,27 @@ class Ideal:
             for kp in data.kps
             if kp[1][0] == 0
         ]
-        result = Ideal(self.table, kept, GrevlexOrder(self.table))
+        result = Ideal(self.table, kept, GrevlexOrder(self.table), self.budgets)
         kps = tuple(_kp(g, self.table.spec)[0] for g in kept)
         rdata = GBData(kps=kps, spec=self.table.spec, lts=tuple(kp[1] for kp in kps))
         result._fill(result.order, rdata)
         return result
 
-    def hilbert_numerator(self, budgets: Budgets | None = None) -> tuple:
+    def hilbert_numerator(self) -> tuple:
         """HN(R/I), HS(R/I) = HN / ∏(1 − t^w_i), from the verified basis's
         leading monomials, whose standard monomials are a graded basis of R/I
         for homogeneous I; a non-homogeneous generator raises ValueError."""
         if not all(g.is_homogeneous() for g in self.generators):
             raise ValueError("Hilbert numerator of a non-homogeneous ideal")
-        return self._numerator(budgets)
+        return self._numerator()
 
-    def _numerator(self, budgets: Budgets | None = None) -> tuple:
+    def _numerator(self) -> tuple:
         """HN of the verified basis's leading monomials, computed once."""
         if self._hn is None:
-            self._hn = _hilbert_numerator(self._gb(budgets=budgets).lts, self.table.weights)
+            self._hn = _hilbert_numerator(self._gb().lts, self.table.weights)
         return self._hn
 
-    def colon(self, f: Polynomial, budgets: Budgets | None = None,
-              candidate: "Ideal | None" = None) -> "Ideal":
+    def colon(self, f: Polynomial, candidate: "Ideal | None" = None) -> "Ideal":
         """(I : f) for homogeneous I and f, certified and memoized per divisor.
 
         K is the candidate, or else the exact quotients by f of the basis of
@@ -502,15 +505,15 @@ class Ideal:
             return cached
         if candidate is not None and candidate.table != self.table:
             raise ValueError("candidate from a different table")
-        quotient = _add_shifted(self.hilbert_numerator(budgets),
-                                self.sum_with([f]).hilbert_numerator(budgets), 0, -1)
+        quotient = _add_shifted(self.hilbert_numerator(),
+                                self.sum_with([f]).hilbert_numerator(), 0, -1)
         if candidate is None:
-            inter = self.intersect(Ideal(self.table, [f], self.order), budgets)
-            candidate = Ideal(self.table, [g.exact_divide(f) for g in
-                                           inter.groebner_basis(budgets=budgets)], self.order)
-        numerator = candidate.hilbert_numerator(budgets)
+            inter = self.intersect(Ideal(self.table, [f], self.order, self.budgets))
+            candidate = Ideal(self.table, [g.exact_divide(f) for g in inter.groebner_basis()],
+                              self.order, self.budgets)
+        numerator = candidate.hilbert_numerator()
         for q in candidate.generators:
-            if not self.contains(q * f, budgets=budgets):
+            if not self.contains(q * f):
                 raise VerificationError("colon generator times f is not in the ideal")
         if _add_shifted(quotient, numerator, f.weighted_degree(), -1):
             raise VerificationError("colon candidate breaks the Hilbert exact sequence")
@@ -572,23 +575,22 @@ def _std_monomials_of_weight(lts: Sequence, weights: Sequence[int], w: int) -> l
 class QuotientRing:
     """A presented graded quotient with lazy standard-monomial bookkeeping."""
 
-    def __init__(self, ideal: Ideal, budgets: Budgets | None = None):
+    def __init__(self, ideal: Ideal):
         self.ideal = ideal
         self.table = ideal.table
-        self.budgets = budgets or DEFAULT_BUDGETS
         self._std: dict = {}
 
     def __repr__(self) -> str:
         return f"QuotientRing({self.table!r} / {len(self.ideal.generators)} gens)"
 
     def _lts(self) -> tuple:
-        return self.ideal._gb(budgets=self.budgets).lts
+        return self.ideal._gb().lts
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        return self.ideal.normal_form(p, budgets=self.budgets)
+        return self.ideal.normal_form(p)
 
     def contains(self, p: Polynomial) -> bool:
-        return self.ideal.contains(p, budgets=self.budgets)
+        return self.ideal.contains(p)
 
     def std_monomials(self, degree: int) -> list:
         """Standard monomials of the given cohomological degree, ascending."""
@@ -617,7 +619,7 @@ class QuotientRing:
         return row
 
     def _series(self) -> tuple | None:
-        return _hilbert_series(self.ideal._numerator(self.budgets), self.table.weights)
+        return _hilbert_series(self.ideal._numerator(), self.table.weights)
 
     def dimensions(self) -> list:
         """Graded dimensions in degrees 0, 2, ... up to the top (cofinite only)."""
@@ -638,7 +640,7 @@ class QuotientRing:
         return sum(self.dimensions())
 
     def plus(self, extra: Iterable[Polynomial]) -> "QuotientRing":
-        return QuotientRing(self.ideal.sum_with(extra), self.budgets)
+        return QuotientRing(self.ideal.sum_with(extra))
 
     def localized_rank(self, xname: str = "x") -> int:
         """Dimension over Q(x) after inverting x.
@@ -650,7 +652,7 @@ class QuotientRing:
         """
         if self.table.names[-1] != xname:
             raise ValueError(f"{xname} must be the last variable")
-        data = self.ideal._gb(BlockOrder(self.table, len(self.table) - 1), self.budgets)
+        data = self.ideal._gb(BlockOrder(self.table, len(self.table) - 1))
         yweights = self.table.weights[:-1]
         series = _hilbert_series(_hilbert_numerator([m[:-1] for m in data.lts], yweights),
                                  yweights)
@@ -670,6 +672,6 @@ def formality_check(ring: QuotientRing, xname: str = "x") -> bool:
     mod_x = ring.plus([x])
     if not mod_x.is_cofinite():
         raise ValueError("quotient by x is not finite-dimensional")
-    numerator = ring.ideal.hilbert_numerator(ring.budgets)
+    numerator = ring.ideal.hilbert_numerator()
     wx = ring.table.weights[ring.table.index(xname)]
-    return mod_x.ideal.hilbert_numerator(ring.budgets) == _add_shifted(numerator, numerator, wx, -1)
+    return mod_x.ideal.hilbert_numerator() == _add_shifted(numerator, numerator, wx, -1)

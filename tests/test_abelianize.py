@@ -13,7 +13,9 @@ from kirwan.abelianize import (
     proper_quiver_weights,
     verify_second_iso,
 )
-from kirwan.ideals import Ideal, QuotientRing
+from kirwan.errors import BudgetExceeded
+from kirwan.hyperpolygon import EdgeLengths, HyperpolygonInstance, ideal_J
+from kirwan.ideals import Budgets, Ideal, QuotientRing
 from kirwan.rings import Polynomial, VariableTable, parse_polynomial
 
 
@@ -95,6 +97,16 @@ def test_kirwan_image_toy_colon():
     ring = QuotientRing(Ideal(T, [parse_polynomial(T, "y^2")]))
     img = kirwan_image(KirwanPresentation(ring, parse_polynomial(T, "y")))
     assert img.ideal.equals(Ideal(T, [parse_polynomial(T, "y")]))
+
+
+def test_kirwan_image_runs_under_the_budgets_of_the_ring():
+    # J at 1 1 1 2 has a 13-element basis; the colon inherits J's budgets
+    inst = HyperpolygonInstance(EdgeLengths([1, 1, 1, 2]))
+    J = ideal_J(inst)
+    ring = QuotientRing(Ideal(J.table, J.generators, budgets=Budgets(max_basis=3)))
+    with pytest.raises(BudgetExceeded) as info:
+        kirwan_image(KirwanPresentation(ring, inst.euler_e))
+    assert info.value.limit == 3
 
 
 def _z2_setup():

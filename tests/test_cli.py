@@ -217,6 +217,19 @@ def test_budget_exit(capsys):
     assert payload["stage"]
 
 
+@pytest.mark.parametrize("argv,which,stage", [
+    (("certify", "--xi", "1", "1", "1", "2", "--max-degree", "2"), "degree", "certificates"),
+    (("betti", "--xi", "1", "1", "1", "1", "1", "--max-basis", "2"), "basis", "betti"),
+])
+def test_budget_exit_names_the_stage(capsys, argv, which, stage):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["which"] == which
+    assert payload["stage"] == stage
+
+
 def test_verification_exit(capsys, monkeypatch):
     def boom(*a, **k):
         raise VerificationError("forced for the exit-code contract")

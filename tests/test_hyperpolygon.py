@@ -132,8 +132,7 @@ def test_eprime_colon_by_elimination_is_the_lifted_d_presentation(xi):
     inst = HyperpolygonInstance(EdgeLengths(xi))
     I = ideal_I(inst)
     colon = Ideal(I.table, I.generators).colon(inst.euler_eprime)
-    embed = {"a2": parse_polynomial(inst.table_P, "a^2")}
-    lifted = Ideal(inst.table_P, [g.substitute(embed, table=inst.table_P)
+    lifted = Ideal(inst.table_P, [g.substitute(inst.embed, table=inst.table_P)
                                   for g in d_presentation_ideal(inst).generators])
     assert colon.equals(lifted)
 
@@ -198,8 +197,7 @@ def test_bridge_falls_back_to_elimination_for_a_partial_lift(monkeypatch):
     monkeypatch.setattr(hyperpolygon, "annihilator_ideal", lambda _: part)
     assert bridge_check(inst) is True
     colon = ideal_I(inst).colon(inst.euler_eprime)
-    embed = {"a2": parse_polynomial(inst.table_P, "a^2")}
-    lifted = Ideal(inst.table_P, [g.substitute(embed, table=inst.table_P) for g in basis])
+    lifted = Ideal(inst.table_P, [g.substitute(inst.embed, table=inst.table_P) for g in basis])
     assert colon.equals(lifted)
     assert not colon.equals(Ideal(inst.table_P, lifted.generators[:-1]))
 

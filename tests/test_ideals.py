@@ -323,19 +323,45 @@ def test_formality_toys():
 # budgets
 
 
-def test_budget_on_basis_size():
+# each computation runs under the budgets of the ideal it starts from: its
+# own basis, or that of an ideal derived from it (a sum, the elimination
+# behind a colon without a candidate, an intersection)
+
+
+def _budgeted(T, budgets, *gens):
+    return Ideal(T, [P(T, g) for g in gens], budgets=budgets)
+
+
+@pytest.mark.parametrize("compute", [
+    # completion adds u*w^2 - v*w^2
+    lambda T, b: _budgeted(T, b, "u*v - w^2", "u^2 - w^2").groebner_basis(),
+    lambda T, b: _budgeted(T, b, "u*v - w^2").sum_with([P(T, "u^2 - w^2")]).groebner_basis(),
+    # <u^2> and <u^2, v> fit, the elimination basis of <u^2> ∩ <v> does not
+    lambda T, b: _budgeted(T, b, "u^2").colon(P(T, "v")),
+    lambda T, b: _budgeted(T, b, "u^2").intersect(Ideal(T, [P(T, "v")])),
+], ids=["groebner_basis", "sum_with", "colon", "intersect"])
+def test_budget_on_basis_size(compute):
     T = VariableTable(["u", "v", "w"])
-    gens = [P(T, "u*v - w^2"), P(T, "u^2 - w^2")]  # completion adds u*w^2 - v*w^2
+    compute(T, None)
     with pytest.raises(BudgetExceeded) as info:
-        Ideal(T, gens).groebner_basis(budgets=Budgets(max_basis=2))
+        compute(T, Budgets(max_basis=2))
     assert info.value.kind == "basis"
     assert info.value.limit == 2
 
 
-def test_budget_on_degree():
+@pytest.mark.parametrize("compute", [
+    lambda T, b: _budgeted(T, b, "u^3 - v^3").groebner_basis(),
+    # completion adds v^3
+    lambda T, b: _budgeted(T, b, "u*v").sum_with([P(T, "u^2 - v^2")]).groebner_basis(),
+    # the elimination starts from t*u*v
+    lambda T, b: _budgeted(T, b, "u*v").colon(P(T, "u - v")),
+    lambda T, b: _budgeted(T, b, "u^2").intersect(Ideal(T, [P(T, "v")])),
+], ids=["groebner_basis", "sum_with", "colon", "intersect"])
+def test_budget_on_degree(compute):
     T = VariableTable(["u", "v"])
+    compute(T, None)
     with pytest.raises(BudgetExceeded) as info:
-        Ideal(T, [P(T, "u^3 - v^3")]).groebner_basis(budgets=Budgets(max_degree=4))
+        compute(T, Budgets(max_degree=4))
     assert info.value.kind == "degree"
 
 

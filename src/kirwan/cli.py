@@ -214,7 +214,7 @@ def _demo_segre(fx) -> tuple:
 
 
 def _cmd_localize_demo(args) -> tuple:
-    fx = load_fixture(args.fixture)
+    fx = load_fixture(args.fixture, budgets=args.budgets)
     if args.fixture == "line":
         return _demo_line(fx)
     if args.fixture == "product":

@@ -109,7 +109,7 @@ class HyperpolygonInstance:
     P-side ambient: Q[c_1..c_n, a, x] with relations c_i^2 - a^2 and the
     involution a -> -a; invariant-side ambient: Q[c_1..c_n, a2, x] with a2
     of degree 4 standing for a^2, relations c_i^2 - a2.  x sits last in both
-    tables so localized ranks can use the block order directly.
+    tables, as QuotientRing.localized_rank needs.
     """
 
     def __init__(self, lengths: EdgeLengths, budgets: Budgets | None = None):
@@ -438,13 +438,20 @@ def bridge_check(inst: HyperpolygonInstance) -> bool:
     """Each generator F of (J : e), lifted by a2 -> a^2, has e'*F in I.
 
     The lift is the candidate for (I : e'), certified and memoized on I for
-    verify_second_iso.  When it is a proper part of (I : e'), elimination
-    proposes the colon instead; only a lifted F with e'*F outside I is False.
+    verify_second_iso.  Its basis is installed, not recomputed: a2 -> a^2
+    keeps weighted degrees, and a monomial's a2 exponent k becomes the a
+    exponent 2k, so grevlex (x last, then a2 or a) orders images as it
+    orders monomials, and m divides m' iff their images divide.  So the
+    S-pairs and reduction steps of (J : e)'s reduced basis map one to one,
+    and its image is the reduced basis of the lift; that basis is verified
+    before use, and a failed install raises.  When the lift is a proper
+    part of (I : e'), elimination proposes the colon instead; only a lifted
+    F with e'*F outside I is False.
     """
     I = ideal_I(inst)
-    lifted = Ideal(inst.table_P, [F.substitute(inst.embed, table=inst.table_P)
-                                  for F in annihilator_ideal(inst).groebner_basis()],
-                   budgets=inst.budgets)
+    lifted = Ideal.from_basis(inst.table_P, [F.substitute(inst.embed, table=inst.table_P)
+                                             for F in annihilator_ideal(inst).groebner_basis()],
+                              budgets=inst.budgets)
     try:
         I.colon(inst.euler_eprime, candidate=lifted)
     except VerificationError:

@@ -8,7 +8,14 @@ its pairs: the Gebauer–Möller update, on packed leading monomials, as each
 element joins.  _verify_s_criterion folds the same routine over a finished
 basis and reduces the pairs it keeps, which decides exactly whether the basis
 is a Groebner basis.  Every basis is verified before it is used: at cache
-fill, and intersect's extended basis before it is restricted.  Colon ideals
+fill, and intersect's extended basis before it is restricted.
+
+One loop, _complete, builds every basis.  It takes an optional seed, a basis
+already known to be a Groebner basis, and queues no pair inside it: a sum
+I + ⟨f⟩ is completed from I's verified reduced basis plus f, and a basis known
+by construction (intersect's restriction, the lift of a colon) is installed
+through it with no other generator.  The seed only saves work: the result is
+verified at cache fill like every other basis.  Colon ideals
 are certified by the Hilbert exact sequence, whatever proposed them, and an
 ideal keeps the colons and sums derived from it, so each is computed (and
 certified) once however many callers ask for it.
@@ -175,6 +182,22 @@ def _gm_update(lms: list, nonzero: list, live: dict, guard: int) -> list:
 
 def _buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
                 budgets: Budgets) -> GBData:
+    """The reduced Groebner basis of generators: _complete with no seed."""
+    return _complete((), generators, order, budgets)
+
+
+def _complete(seed: Sequence[tuple], generators: Sequence[Polynomial],
+              order: MonomialOrder, budgets: Budgets) -> GBData:
+    """The reduced Groebner basis of seed + generators, by Buchberger's loop.
+
+    seed holds kernel polynomials in the order's spec that already form a
+    Groebner basis.  They join first, through _gm_update as usual, but no
+    pair between two of them is queued: each such S-polynomial reduces to
+    zero modulo the seed.  That claim is not trusted.  Every element a seeded
+    run drops as non-minimal must reduce to zero modulo the reduced basis
+    (VerificationError otherwise), so the result generates the whole ideal,
+    and the caller verifies the result with _verify_s_criterion before use.
+    """
     table = order.table
     spec = _order_spec(order)
     weights = table.weights
@@ -185,41 +208,13 @@ def _buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
     def wdeg(mono) -> int:
         return sum(e * w for e, w in zip(mono, weights))
 
-    gens = [_kp(g, spec)[0] for g in generators if not g.is_zero()]
-    for kp in gens:
-        if wdeg(kp[1]) > wcap:
-            raise BudgetExceeded(
-                f"generator degree {2 * wdeg(kp[1])} exceeds budget {budgets.max_degree}",
-                kind="degree", limit=budgets.max_degree, observed=2 * wdeg(kp[1]),
-            )
-
     basis: list = []
     lms: list = []
     nonzero: list = []
     live: dict = {}
     pairs: list = []  # heap of (lcm degree, lcm key, i, j); stale once out of live
 
-    def join(kp):
-        basis.append(kp)
-        lms.append(kp[4])
-        for lcm, i, j in _gm_update(lms, nonzero, live, mask):
-            lcm_m = table.unpack(lcm)
-            heapq.heappush(pairs, (wdeg(lcm_m), K.key_of(spec, lcm_m), i, j))
-
-    for kp in gens:
-        join(kp)
-
-    while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        if live.pop((i, j), None) is None:
-            continue
-        s = K.kp_spoly(basis[i], basis[j], spec)
-        if s is None:
-            continue
-        _, _, nf = K.kp_normal_form(s, basis, spec)
-        if not nf:
-            continue
-        kp = K.kp_from_terms(nf, nvars)
+    def join(kp, queue=True):
         d = wdeg(kp[1])
         if d > wcap:
             raise BudgetExceeded(
@@ -231,12 +226,40 @@ def _buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
                 f"basis size {len(basis) + 1} exceeds budget {budgets.max_basis}",
                 kind="basis", limit=budgets.max_basis, observed=len(basis) + 1,
             )
-        join(kp)
+        basis.append(kp)
+        lms.append(kp[4])
+        new = _gm_update(lms, nonzero, live, mask)
+        if not queue:
+            live.clear()
+            return
+        for lcm, i, j in new:
+            lcm_m = table.unpack(lcm)
+            heapq.heappush(pairs, (wdeg(lcm_m), K.key_of(spec, lcm_m), i, j))
+
+    for kp in seed:
+        join(kp, queue=False)
+    for g in generators:
+        if not g.is_zero():
+            join(_kp(g, spec)[0])
+
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        if live.pop((i, j), None) is None:
+            continue
+        s = K.kp_spoly(basis[i], basis[j], spec)
+        if s is None:
+            continue
+        _, _, nf = K.kp_normal_form(s, basis, spec)
+        if nf:
+            join(K.kp_from_terms(nf, nvars))
 
     # minimalize: ascending leading terms, drop anything an earlier one divides
     minimal: list = []
+    dropped: list = []
     for kp in sorted(basis, key=lambda t: t[0]):
-        if not any(not (kp[4] - h[4]) & mask for h in minimal):
+        if any(not (kp[4] - h[4]) & mask for h in minimal):
+            dropped.append(kp)
+        else:
             minimal.append(kp)
 
     # tail-reduce sequentially; leading terms are pairwise non-divisible so
@@ -251,6 +274,10 @@ def _buchberger(generators: Sequence[Polynomial], order: MonomialOrder,
             raise VerificationError("tail reduction disturbed a leading term")
         minimal[idx] = kp
 
+    # without a seed the loop ends on a Groebner basis, which the dropped
+    # elements reduce to zero modulo; a seed must show it
+    if seed and any(K.kp_normal_form(kp, minimal, spec)[2] for kp in dropped):
+        raise VerificationError("a seeded run dropped an element its reduced basis does not generate")
     return GBData(kps=tuple(minimal), spec=spec, lts=tuple(kp[1] for kp in minimal))
 
 
@@ -376,6 +403,7 @@ class Ideal:
         self._colons: dict = {}
         self._hn: tuple | None = None
         self._sums: dict = {}
+        self._base: tuple | None = None  # (ideal, extra) for a sum
 
     def __repr__(self) -> str:
         return f"Ideal({len(self.generators)} gens over {self.table!r})"
@@ -392,9 +420,26 @@ class Ideal:
         order = order or self.order
         key = self._order_key(order)
         if key not in self._cache:
-            data = _buchberger(self.generators, order, self.budgets)
+            if self._base is None:
+                data = _buchberger(self.generators, order, self.budgets)
+            else:
+                base, extra = self._base
+                data = _complete(base._gb(order).kps, extra, order, self.budgets)
             self._fill(order, data)
         return self._cache[key]
+
+    @classmethod
+    def from_basis(cls, table: VariableTable, basis: Iterable[Polynomial],
+                   order: MonomialOrder | None = None,
+                   budgets: Budgets | None = None) -> "Ideal":
+        """The ideal generated by basis, a Groebner basis for the order,
+        installed as its basis: the seeded loop with no other generator, then
+        _fill, which raises VerificationError unless it is one."""
+        ideal = cls(table, basis, order, budgets)
+        spec = _order_spec(ideal.order)
+        seed = [_kp(g, spec)[0] for g in ideal.generators]
+        ideal._fill(ideal.order, _complete(seed, (), ideal.order, ideal.budgets))
+        return ideal
 
     def groebner_basis(self, order: MonomialOrder | None = None) -> tuple:
         """The reduced Groebner basis: monic, inter-reduced, ascending."""
@@ -423,10 +468,13 @@ class Ideal:
         return self.contains_ideal(other) and other.contains_ideal(self)
 
     def sum_with(self, extra: Iterable[Polynomial]) -> "Ideal":
-        """I + ⟨extra⟩, memoized per tuple of extra generators."""
+        """I + ⟨extra⟩, memoized per tuple of extra generators; its bases are
+        completed from I's verified bases plus extra."""
         extra = tuple(extra)
         if extra not in self._sums:
-            self._sums[extra] = Ideal(self.table, self.generators + extra, self.order, self.budgets)
+            total = Ideal(self.table, self.generators + extra, self.order, self.budgets)
+            total._base = (self, extra)
+            self._sums[extra] = total
         return self._sums[extra]
 
     # -- elimination-based operations --------------------------------------
@@ -441,8 +489,8 @@ class Ideal:
         """I ∩ J by tag elimination: the t-free part of ⟨t·I, (1−t)·J⟩.
 
         The elimination order restricts to this ideal's own grevlex on the
-        t-free monomials, so the filtered reduced basis is cached directly as
-        the intersection's reduced basis.
+        t-free monomials, so the filtered reduced basis is installed as the
+        intersection's reduced basis.
         """
         if other.table != self.table:
             raise ValueError("ideals over different tables")
@@ -466,11 +514,7 @@ class Ideal:
             for kp in data.kps
             if kp[1][0] == 0
         ]
-        result = Ideal(self.table, kept, GrevlexOrder(self.table), self.budgets)
-        kps = tuple(_kp(g, self.table.spec)[0] for g in kept)
-        rdata = GBData(kps=kps, spec=self.table.spec, lts=tuple(kp[1] for kp in kps))
-        result._fill(result.order, rdata)
-        return result
+        return Ideal.from_basis(self.table, kept, GrevlexOrder(self.table), self.budgets)
 
     def hilbert_numerator(self) -> tuple:
         """HN(R/I), HS(R/I) = HN / ∏(1 − t^w_i), from the verified basis's
@@ -643,18 +687,26 @@ class QuotientRing:
         return QuotientRing(self.ideal.sum_with(extra))
 
     def localized_rank(self, xname: str = "x") -> int:
-        """Dimension over Q(x) after inverting x.
+        """Dimension over Q(x) after inverting x, for homogeneous I with x
+        the last table variable (ValueError otherwise).
 
-        Uses a block order whose front is every variable except x (which must
-        be the last table variable): the x-free parts of the leading terms
-        generate the extended leading-term ideal over Q(x), so the rank is the
-        count of their standard monomials.
+        Write y for the other variables.  Since I is homogeneous, R/I with x
+        inverted is (R/I)_0[x, 1/x], its degree-0 part Q[y]/I|_(x=1), so the
+        rank is dim Q[y]/I|_(x=1).  Each element g of the grevlex basis is
+        homogeneous and its leading term has the least power of x among its
+        terms, so after x = 1 it keeps the largest weighted degree: lt(g)
+        with x = 1 is the leading term of g with x = 1 for grevlex on y, and
+        those g with x = 1 are a Groebner basis of I|_(x=1) (Bayer &
+        Stillman, "A criterion for detecting m-regularity", Invent. Math. 87,
+        1987).  The rank is the count of standard monomials of the x-free
+        parts of the leading terms the ideal's basis already has.
         """
         if self.table.names[-1] != xname:
             raise ValueError(f"{xname} must be the last variable")
-        data = self.ideal._gb(BlockOrder(self.table, len(self.table) - 1))
+        if not all(g.is_homogeneous() for g in self.ideal.generators):
+            raise ValueError("localized rank of a non-homogeneous ideal")
         yweights = self.table.weights[:-1]
-        series = _hilbert_series(_hilbert_numerator([m[:-1] for m in data.lts], yweights),
+        series = _hilbert_series(_hilbert_numerator([m[:-1] for m in self._lts()], yweights),
                                  yweights)
         if series is None:
             raise ValueError("localized module has infinite rank")

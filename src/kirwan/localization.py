@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import VerificationError
-from .ideals import Ideal, QuotientRing
+from .ideals import Budgets, Ideal, QuotientRing
 from .ratfield import RationalFunction, _uscale
 from .rings import GrevlexOrder, Polynomial, VariableTable, parse_polynomial
 
@@ -443,7 +443,10 @@ def verify_integration_adjunction(f: ModelMap, a: EquivariantClass,
 
 
 class ProductModel:
-    """M × M with projections, the diagonal, and the tensor construction."""
+    """M × M with projections, the diagonal, and the tensor construction.
+
+    Each product component's ring runs under its first factor's budgets.
+    """
 
     def __init__(self, base: CircleCompactModel):
         self.base = base
@@ -471,7 +474,7 @@ class ProductModel:
                 comps.append(
                     FixedComponent(
                         f"{A.name}*{B.name}",
-                        QuotientRing(Ideal(table, rels)),
+                        QuotientRing(Ideal(table, rels, budgets=A.ring.ideal.budgets)),
                         euler,
                         A.fundamental + B.fundamental,
                     )
@@ -552,16 +555,16 @@ def diagonal_basis(model: CircleCompactModel, decomposition: Sequence[tuple]) ->
 # -- fixtures ---------------------------------------------------------------
 
 
-def _ring_from_dict(payload: Mapping) -> QuotientRing:
+def _ring_from_dict(payload: Mapping, budgets: Budgets | None) -> QuotientRing:
     """The quotient ring of a payload's `variables` and `relations`."""
     variables = payload.get("variables", [])
     table = VariableTable([v[0] for v in variables], [int(v[1]) for v in variables])
     rels = [parse_polynomial(table, s) for s in payload.get("relations", [])]
-    return QuotientRing(Ideal(table, rels))
+    return QuotientRing(Ideal(table, rels, budgets=budgets))
 
 
-def _component_from_dict(payload: Mapping) -> FixedComponent:
-    ring = _ring_from_dict(payload)
+def _component_from_dict(payload: Mapping, budgets: Budgets | None) -> FixedComponent:
+    ring = _ring_from_dict(payload, budgets)
     euler = _split_x(parse_polynomial(ring.table.append("x"), payload["euler"]))
     fund = parse_polynomial(ring.table, payload.get("fundamental", "1"))
     if len(fund.terms) != 1 or fund.terms[0][1] != 1:
@@ -572,17 +575,17 @@ def _component_from_dict(payload: Mapping) -> FixedComponent:
 class FixtureModel:
     """A shipped model: components plus an optional ambient presentation."""
 
-    def __init__(self, payload: Mapping):
+    def __init__(self, payload: Mapping, budgets: Budgets | None = None):
         self.name = payload["name"]
         self.description = payload.get("description", "")
         self.model = CircleCompactModel(
-            [_component_from_dict(c) for c in payload["components"]]
+            [_component_from_dict(c, budgets) for c in payload["components"]]
         )
         self.ambient: QuotientRing | None = None
         self._restrictions = None
         amb = payload.get("ambient")
         if amb:
-            self.ambient = _ring_from_dict(amb)
+            self.ambient = _ring_from_dict(amb, budgets)
             self._restrictions = amb["restrictions"]
         self.classes = {
             name: self.model.from_strings(texts)
@@ -604,11 +607,11 @@ class FixtureModel:
 class MapFixture:
     """A shipped map of models (source, target, assignment, pullbacks, ambient images)."""
 
-    def __init__(self, payload: Mapping):
+    def __init__(self, payload: Mapping, budgets: Budgets | None = None):
         self.name = payload["name"]
         self.description = payload.get("description", "")
-        self.source = FixtureModel(payload["source"])
-        self.target = FixtureModel(payload["target"])
+        self.source = FixtureModel(payload["source"], budgets)
+        self.target = FixtureModel(payload["target"], budgets)
         m = payload["map"]
         self.map = ModelMap(
             self.source.model, self.target.model, m["assignment"], m["pullbacks"]
@@ -635,13 +638,14 @@ class MapFixture:
         return rows, src.graded_dimension(degree)
 
 
-def load_fixture(name: str):
-    """Load a shipped fixture by name: line, product, or segre."""
+def load_fixture(name: str, budgets: Budgets | None = None):
+    """Load a shipped fixture by name: line, product, or segre; its rings'
+    Groebner runs use budgets (None: DEFAULT_BUDGETS)."""
     import json
     from importlib import resources
 
     path = resources.files("kirwan") / "data" / "fixtures" / f"{name}.json"
     payload = json.loads(path.read_text())
     if "map" in payload:
-        return MapFixture(payload)
-    return FixtureModel(payload)
+        return MapFixture(payload, budgets)
+    return FixtureModel(payload, budgets)

@@ -230,6 +230,27 @@ def test_budget_exit_names_the_stage(capsys, argv, which, stage):
     assert payload["stage"] == stage
 
 
+@pytest.mark.parametrize("argv,stage", [
+    # the relations c_i^2 - a2 already are a Groebner basis: nothing but the
+    # five inputs would join
+    (("certify", "--xi", "1", "2", "4", "8", "16", "--max-basis", "2"), "certificates"),
+    # J's 21 generators: refused as the third joins, before any S-pair
+    (("betti", "--xi", "1", "1", "1", "1", "1", "--max-basis", "2"), "betti"),
+], ids=["certify", "betti"])
+def test_max_basis_counts_every_element_that_joins(capsys, argv, stage):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 4
+    payload = json.loads(err)["error"]
+    assert (payload["which"], payload["observed"], payload["stage"]) == ("basis", 3, stage)
+
+
+def test_localize_demo_honours_the_budgets(capsys):
+    code, out, err = run_cli(capsys, "localize-demo", "--fixture", "segre", "--max-basis", "1")
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"]["which"] == "basis"
+
+
 def test_verification_exit(capsys, monkeypatch):
     def boom(*a, **k):
         raise VerificationError("forced for the exit-code contract")

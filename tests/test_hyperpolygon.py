@@ -137,6 +137,33 @@ def test_eprime_colon_by_elimination_is_the_lifted_d_presentation(xi):
     assert colon.equals(lifted)
 
 
+@pytest.mark.parametrize("xi", [[1, 1, 1, 2], [1, 2, 4, 8, 16]])
+def test_report_sums_equal_their_unseeded_bases(xi):
+    # the five sums a report completes from a verified basis plus one element
+    inst = HyperpolygonInstance(EdgeLengths(xi))
+    assert bridge_check(inst)
+    J, I = ideal_J(inst), ideal_I(inst)
+    x_Q = Polynomial.variable(inst.table_Q, "x")
+    x_P = Polynomial.variable(inst.table_P, "x")
+    sums = ((J, inst.euler_e), (I, inst.euler_eprime), (annihilator_ideal(inst), x_Q),
+            (J, x_Q), (I.colon(inst.euler_eprime), x_P))
+    for base, f in sums:
+        seeded = base.sum_with([f])
+        assert seeded._base == (base, (f,))
+        fresh = Ideal(base.table, seeded.generators, budgets=base.budgets)
+        assert seeded.groebner_basis() == fresh.groebner_basis()
+
+
+@pytest.mark.parametrize("xi", [[1, 1, 1], [1, 2, 4, 8], [1, 1, 1, 2], [1, 2, 4, 8, 16]])
+def test_installed_lift_is_the_buchberger_basis_of_the_lift(xi):
+    inst = HyperpolygonInstance(EdgeLengths(xi))
+    lifted = [F.substitute(inst.embed, table=inst.table_P)
+              for F in annihilator_ideal(inst).groebner_basis()]
+    installed = Ideal.from_basis(inst.table_P, lifted).groebner_basis()
+    assert installed == tuple(lifted)
+    assert installed == Ideal(inst.table_P, lifted).groebner_basis()
+
+
 def test_colon_strictly_contains_J(inst4):
     K = annihilator_ideal(inst4)
     for g in ideal_J(inst4).generators:
@@ -419,13 +446,14 @@ def test_report_contents(report4):
 def test_report_computes_each_thing_once(monkeypatch):
     # every Groebner run has a distinct input, no colon is eliminated, the
     # bases of J + <e> and I + <e'> behind the colon certificates are each
-    # built once, and each certificate is verified once
+    # built once, from the verified bases of J and I plus e and e', and each
+    # certificate is verified once
     runs = []
-    real_gb = ideals._buchberger
+    real_complete = ideals._complete
 
-    def buchberger(generators, order, budgets):
-        runs.append((tuple(g.terms for g in generators), order))
-        return real_gb(generators, order, budgets)
+    def complete(seed, generators, order, budgets):
+        runs.append((tuple(seed), tuple(g.terms for g in generators), order))
+        return real_complete(seed, generators, order, budgets)
 
     counts = {"intersect": 0, "verify": 0}
 
@@ -435,18 +463,18 @@ def test_report_computes_each_thing_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ideals, "_buchberger", buchberger)
+    monkeypatch.setattr(ideals, "_complete", complete)
     monkeypatch.setattr(Ideal, "intersect", counted("intersect", Ideal.intersect))
     monkeypatch.setattr(
         MembershipCertificate, "verify", counted("verify", MembershipCertificate.verify)
     )
     report = full_report(EdgeLengths([1, 1, 1, 2]))
-    assert runs and len(set(runs)) == len(runs), f"{len(runs)} runs, {len(set(runs))} distinct"
+    made = list(runs)
+    assert made and len(set(made)) == len(made), f"{len(made)} runs, {len(set(made))} distinct"
     assert counts["intersect"] == 0
     inst = HyperpolygonInstance(EdgeLengths([1, 1, 1, 2]))
     for ideal, f in ((ideal_J(inst), inst.euler_e), (ideal_I(inst), inst.euler_eprime)):
-        gens = tuple(g.terms for g in ideal.generators + (f,))
-        assert [g for g, _ in runs].count(gens) == 1
+        assert [run[:2] for run in made].count((ideal._gb().kps, (f.terms,))) == 1
     assert counts["verify"] == len(report["certificates"]) == 7
 
 

@@ -7,9 +7,17 @@ import pytest
 from kirwan import _kernel as K
 from kirwan import ideals, linalg
 from kirwan.errors import BudgetExceeded, VerificationError
-from kirwan.hyperpolygon import EdgeLengths, HyperpolygonInstance, full_report, ideal_I, ideal_J
+from kirwan.hyperpolygon import (
+    EdgeLengths,
+    HyperpolygonInstance,
+    full_report,
+    ideal_I,
+    ideal_J,
+    prop_hp,
+)
 from kirwan.ideals import Budgets, GBData, Ideal, QuotientRing, formality_check
 from kirwan.rings import (
+    BlockOrder,
     GrevlexOrder,
     LexOrder,
     Polynomial,
@@ -311,6 +319,31 @@ def test_localized_rank_toys():
         QuotientRing(Ideal(T2, [P(T2, "u^2")])).localized_rank()  # x not last
 
 
+def block_order_rank(ring, xname="x"):
+    """The localized rank counted independently of grevlex: the x-free parts
+    of the leading terms under a block order with x alone in the back block
+    generate the extended leading-term ideal over Q(x)."""
+    data = ring.ideal._gb(BlockOrder(ring.table, len(ring.table) - 1))
+    yweights = ring.table.weights[:-1]
+    numerator = ideals._hilbert_numerator([m[:-1] for m in data.lts], yweights)
+    return sum(ideals._hilbert_series(numerator, yweights))
+
+
+def test_localized_rank_agrees_with_the_block_order():
+    T = VariableTable(["u", "x"])
+    W = VariableTable(["u", "v", "x"], [2, 4, 2])
+    rings = [QuotientRing(Ideal(T, [P(T, g) for g in gens]))
+             for gens in (["u^2 - x^2"], ["u^2 - x*u"], ["x*u", "u^2"], ["u^2"])]
+    rings.append(QuotientRing(Ideal(W, [P(W, "u^2 - v + x^2"), P(W, "v*x - u*x^2")])))
+    for xi in ([1, 1, 1], [1, 1, 1, 2], [1, 2, 4, 8, 16]):
+        rings.append(prop_hp(HyperpolygonInstance(EdgeLengths(xi))))
+    ranks = [ring.localized_rank() for ring in rings]
+    assert ranks == [block_order_rank(ring) for ring in rings]
+    assert ranks[-3:] == [1, 5, 17]
+    with pytest.raises(ValueError, match="non-homogeneous"):
+        QuotientRing(Ideal(T, [P(T, "u^2 - x")])).localized_rank()
+
+
 def test_formality_toys():
     T = VariableTable(["u", "x"])
     free = QuotientRing(Ideal(T, [P(T, "u^2 - x*u")]))
@@ -409,17 +442,17 @@ def verdicts(data):
 
 @pytest.fixture(scope="module")
 def report_bases():
-    """Every basis _buchberger returns in the n = 4 and n = 5 golden reports,
-    and the extended bases of J ∩ ⟨e⟩ and I ∩ ⟨e'⟩ there."""
+    """Every basis verified in the n = 4 and n = 5 golden reports, seeded
+    and installed ones included, and the extended and restricted bases of
+    J ∩ ⟨e⟩ and I ∩ ⟨e'⟩ there."""
     bases = []
-    build = ideals._buchberger
+    verify = ideals._verify_s_criterion
 
-    def record(*args):
-        data = build(*args)
+    def record(data):
+        verify(data)
         bases.append(data)
-        return data
 
-    ideals._buchberger = record
+    ideals._verify_s_criterion = record
     try:
         for xi in ([1, 1, 1, 2], [1, 2, 4, 8, 16]):
             full_report(EdgeLengths(xi))
@@ -428,13 +461,14 @@ def report_bases():
             ideal_J(inst).intersect(Ideal(inst.table_Q, [inst.euler_e]))
             ideal_I(inst).intersect(Ideal(inst.table_P, [inst.euler_eprime]))
     finally:
-        ideals._buchberger = build
+        ideals._verify_s_criterion = verify
     return bases
 
 
 def test_both_verifiers_accept_report_bases(report_bases):
-    # 13 runs per report, then the two intersections' extended block-order bases
-    assert len(report_bases) == 30
+    # 12 bases per report, then each intersection's extended block-order
+    # basis and the restricted grevlex basis installed from it
+    assert len(report_bases) == 32
     assert sum(d.spec[:2] == ("block", 1) for d in report_bases) == 4
     for data in report_bases:
         assert verdicts(data) == [True, True]
@@ -496,6 +530,28 @@ def test_verifier_reduces_fewer_pairs_than_oracle(monkeypatch):
     calls.clear()
     ideals._verify_s_criterion(data)
     assert 0 < len(calls) < oracle
+
+
+@pytest.mark.parametrize("seed", [
+    # equal leading terms: minimalizing alone would keep x + y and lose z - y
+    ["x + y", "x + z"],
+    # minimal, but the S-polynomial of the two does not reduce to zero
+    ["x*y - z^2", "x^2 - y^2"],
+], ids=["dropped", "s-pair"])
+def test_a_seed_that_is_not_a_groebner_basis_raises(seed):
+    T = VariableTable(["x", "y", "z"])
+    gens = [P(T, g) for g in seed]
+    with pytest.raises(VerificationError):
+        Ideal.from_basis(T, gens)
+    # a sum completed from a base whose cached basis is the bad seed
+    base = Ideal(T, gens)
+    kps = tuple(ideals._kp(g, T.spec)[0] for g in gens)
+    base._cache[base._order_key(base.order)] = GBData(kps=kps, spec=T.spec,
+                                                      lts=tuple(kp[1] for kp in kps))
+    total = base.sum_with([P(T, "z^3")])
+    with pytest.raises(VerificationError):
+        total.groebner_basis()
+    assert not total._cache
 
 
 def test_intersect_verifies_its_extended_basis(monkeypatch):

@@ -132,19 +132,18 @@ class HyperpolygonInstance:
         # a2 -> a^2: the invariant ambient into the P-side ambient
         self.embed = {"a2": parse_polynomial(self.table_P, "a^2")}
         self._rel_ideal_Q = Ideal(self.table_Q, list(self.relations_Q), budgets=self.budgets)
+        # the torus-side letters a_i = (c_i + a)/2 and b_i = (c_i - a)/2
+        self._letters = {
+            i: (parse_polynomial(self.table_P, f"1/2*c{i} + 1/2*a"),
+                parse_polynomial(self.table_P, f"1/2*c{i} - 1/2*a"))
+            for i in range(1, n + 1)
+        }
+        self._AB_cache: dict = {}
         self._C_cache: dict = {}
         self._D_cache: dict = {}
         self._J: Ideal | None = None
         self._I: Ideal | None = None
         self._Dp: Ideal | None = None
-
-    # -- torus-side letters -------------------------------------------------
-
-    def a_i(self, i: int) -> Polynomial:
-        return parse_polynomial(self.table_P, f"1/2*c{i} + 1/2*a")
-
-    def b_i(self, i: int) -> Polynomial:
-        return parse_polynomial(self.table_P, f"1/2*c{i} - 1/2*a")
 
     def weyl_involution(self) -> dict:
         return {"a": parse_polynomial(self.table_P, "-a")}
@@ -154,17 +153,23 @@ class HyperpolygonInstance:
     # level n.  Lower levels only appear inside certificate recursions.
 
     def _AB(self, S: frozenset, level: int) -> tuple:
-        x = Polynomial.variable(self.table_P, "x")
-        A = Polynomial.one(self.table_P)
-        B = Polynomial.one(self.table_P)
-        for i in range(1, level + 1):
-            if i in S:
-                A = A * (x - self.a_i(i))
-                B = B * (x - self.b_i(i))
-            else:
-                A = A * self.b_i(i)
-                B = B * self.a_i(i)
-        return A, B
+        """(A_S, B_S) at this level, built once: C_S and the generators of I
+        share them."""
+        key = (S, level)
+        if key not in self._AB_cache:
+            x = Polynomial.variable(self.table_P, "x")
+            A = Polynomial.one(self.table_P)
+            B = Polynomial.one(self.table_P)
+            for i in range(1, level + 1):
+                a, b = self._letters[i]
+                if i in S:
+                    A = A * (x - a)
+                    B = B * (x - b)
+                else:
+                    A = A * b
+                    B = B * a
+            self._AB_cache[key] = A, B
+        return self._AB_cache[key]
 
     def _even_to_Q(self, p: Polynomial) -> Polynomial:
         """Rewrite an even-in-a polynomial into the a2 ambient (a^2 -> a2)."""

@@ -32,6 +32,7 @@ import heapq
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 from typing import Iterable, Mapping, Sequence
 
 from . import _kernel as K
@@ -345,7 +346,7 @@ def _hilbert_numerator(lts: Iterable, weights: Sequence[int]) -> tuple:
     gens: list = []
     # a divisor has the smaller exponent sum, so it is kept first
     for m in sorted(set(lts), key=sum):
-        if not any(all(a <= b for a, b in zip(g, m)) for g in gens):
+        if not any(all(map(le, g, m)) for g in gens):
             gens.append(m)
     if gens and not any(gens[0]):
         return ()  # unit ideal

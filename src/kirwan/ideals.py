@@ -692,15 +692,17 @@ class QuotientRing:
         the last table variable (ValueError otherwise).
 
         Write y for the other variables.  Since I is homogeneous, R/I with x
-        inverted is (R/I)_0[x, 1/x], its degree-0 part Q[y]/I|_(x=1), so the
-        rank is dim Q[y]/I|_(x=1).  Each element g of the grevlex basis is
-        homogeneous and its leading term has the least power of x among its
-        terms, so after x = 1 it keeps the largest weighted degree: lt(g)
-        with x = 1 is the leading term of g with x = 1 for grevlex on y, and
-        those g with x = 1 are a Groebner basis of I|_(x=1) (Bayer &
-        Stillman, "A criterion for detecting m-regularity", Invent. Math. 87,
-        1987).  The rank is the count of standard monomials of the x-free
-        parts of the leading terms the ideal's basis already has.
+        inverted is a graded module over Q[x, 1/x], whose nonzero homogeneous
+        elements are units, so it is free; its rank is its dimension over
+        Q(x) and also that of its fibre Q[y]/I|_(x=1).  Each element g of the
+        grevlex basis is homogeneous and its leading term has the least power
+        of x among its terms, so after x = 1 that term keeps the largest
+        weighted degree: lt(g) with x = 1 is the leading term of g with x = 1
+        for grevlex on y, and those g with x = 1 are a Groebner basis of
+        I|_(x=1) (Bayer & Stillman, "A criterion for detecting
+        m-regularity", Invent. Math. 87, 1987).  So the rank is the count of
+        standard monomials of the x-free parts of the leading terms the
+        ideal's basis already has.
         """
         if self.table.names[-1] != xname:
             raise ValueError(f"{xname} must be the last variable")

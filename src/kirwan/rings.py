@@ -51,7 +51,8 @@ class VariableTable:
     """Immutable ordered list of named variables with even cohomological degrees;
     `spec` names its grevlex order for the kernel, `guard_mask` its guard bits."""
 
-    __slots__ = ("names", "degrees", "_index", "weights", "_hash", "spec", "guard_mask", "_key")
+    __slots__ = ("names", "degrees", "_index", "weights", "_hash", "spec", "guard_mask", "_key",
+                 "_variables")
 
     def __init__(self, names: Sequence[str], degrees: Sequence[int] | None = None):
         names = tuple(names)
@@ -77,6 +78,7 @@ class VariableTable:
         self.spec = ("grevlex", self.weights)
         self.guard_mask = _packer(len(names))[1]
         self._key = _layout(self.spec)
+        self._variables: dict = {}  # name -> its Polynomial, built on first use
 
     def __len__(self) -> int:
         return len(self.names)
@@ -341,7 +343,11 @@ class Polynomial:
 
     @classmethod
     def variable(cls, table: VariableTable, name: str) -> "Polynomial":
-        return _make(table, (table.packed_monomial(table.unit_exponents(name)) + (1,),), Fraction(1))
+        v = table._variables.get(name)
+        if v is None:
+            v = table._variables[name] = _make(
+                table, (table.packed_monomial(table.unit_exponents(name)) + (1,),), Fraction(1))
+        return v
 
     @classmethod
     def from_packed(cls, table: VariableTable, terms, scale: Coefficient = 1) -> "Polynomial":

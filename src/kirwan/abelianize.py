@@ -3,18 +3,16 @@
 The nonabelian quotient's cohomology is reached through the maximal torus:
 present the torus-level image, form the class e built from the roots, and
 quotient by its annihilator, computed as a certified colon ideal.  The
-Weyl-invariant side is compared degreewise against the fixed subspace of an
-explicitly supplied involution.  A small DAG-weight construction produces
-the strictly-negative, edge-increasing vertex weights that make the ambient
-torus action proper.
+Weyl-invariant side is compared degreewise against the fixed subspace of a
+sign action, counted on standard monomials.  A small DAG-weight construction
+produces the strictly-negative, edge-increasing vertex weights that make the
+ambient torus action proper.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from . import linalg
 from .errors import VerificationError
 from .ideals import QuotientRing
 from .rings import Polynomial, VariableTable, parse_polynomial
@@ -126,8 +124,9 @@ class KirwanPresentation:
     invariant_ring presents the Weyl-invariant torus image (ambient/J) and
     euler is the class e written in its ambient variables.  When present,
     full_ring presents the whole torus image, euler_prime the class e', and
-    w_action the Weyl action as a substitution involution on the full
-    ambient; embed sends invariant ambient variables into the full ambient.
+    w_action the Weyl action on the full ambient as a sign action: each
+    variable to ± itself, unlisted variables fixed; embed sends invariant
+    ambient variables into the full ambient.
     """
 
     def __init__(self, invariant_ring: QuotientRing, euler: Polynomial,
@@ -160,33 +159,41 @@ class KirwanPresentation:
             if b * euler_prime != e_full:
                 raise VerificationError("euler does not factor as b*euler_prime")
 
-    def apply_w(self, p: Polynomial) -> Polynomial:
-        if self.w_action is None:
-            return p
-        return p.substitute(self.w_action, table=p.table)
-
 
 def kirwan_image(k: KirwanPresentation) -> QuotientRing:
     """The invariant ambient modulo ann(e), realized as the colon ideal (J : e)."""
     return QuotientRing(k.invariant_ring.ideal.colon(k.euler))
 
 
-def _fixed_dimension(ring: QuotientRing, w_action: Mapping[str, Polynomial],
-                     degree: int) -> int:
-    """Dimension of the involution-fixed subspace of one graded piece."""
-    # rows are the images of the basis, so this is (W - 1) transposed: same rank
-    rows = [
-        ring.coordinates(p.substitute(w_action, table=ring.table), degree)
-        for p in ring.graded_basis(degree)
-    ]
-    for i, row in enumerate(rows):
-        row[i] -= 1
-    return len(rows) - linalg.rank(rows, Fraction(0), Fraction(1)) if rows else 0
+def _sign_parity(table, w_action: Mapping[str, Polynomial]) -> Callable[[tuple], int]:
+    """Exponents m -> 0 when the sign action fixes the monomial, 1 when it
+    negates it; ValueError naming a variable not sent to ± itself."""
+    flipped = []
+    for name, image in w_action.items():
+        v = Polynomial.variable(table, name) if name in table else None
+        if v is None or image not in (v, -v):
+            raise ValueError(f"W-action on {name} is not a sign action: {name} -> {image}")
+        if image == -v:
+            flipped.append(table.index(name))
+    return lambda m: sum(m[i] for i in flipped) % 2
+
+
+def _check_stable(ideal, parity: Callable[[tuple], int], name: str) -> None:
+    if any(len({parity(m) for m, _ in g.terms}) > 1 for g in ideal.groebner_basis()):
+        raise ValueError(f"W-action does not preserve {name}")
 
 
 def verify_second_iso(k: KirwanPresentation, xname: str = "x") -> bool:
     """Degreewise dimension match of ambient/ann(e) against the W-fixed part
     of full/ann(e'), both computed through certified colon ideals.
+
+    W is a sign action: it sends a monomial m to ±m and so keeps leading
+    monomials.  It maps the reduced basis of an ideal I to that of w(I) up
+    to sign, and by uniqueness w(I) = I iff each element of I's reduced basis
+    has terms of one parity; the full ideal and (full : e') must pass, else
+    ValueError.  A standard monomial m of (full : e') maps to ±m, already a
+    normal form, so the fixed dimension of a graded piece is the number of
+    its standard monomials that W fixes.
 
     Finite-dimensional quotients are compared out to their common vanishing
     degree.  Quotients that stay infinite over Q (the equivariant case, free
@@ -196,18 +203,11 @@ def verify_second_iso(k: KirwanPresentation, xname: str = "x") -> bool:
     """
     if k.full_ring is None or k.euler_prime is None:
         raise ValueError("second-isomorphism check needs full_ring and euler_prime")
-    w_action = k.w_action or {}
-    full_ideal = k.full_ring.ideal
-    for name, image in w_action.items():
-        twice = image.substitute(w_action, table=image.table)
-        if twice != Polynomial.variable(image.table, name):
-            raise ValueError(f"W-action is not an involution on {name}")
-    for g in full_ideal.generators:
-        if not k.full_ring.normal_form(k.apply_w(g)).is_zero():
-            raise ValueError("W-action does not preserve the full ideal")
-
+    parity = _sign_parity(k.full_ring.table, k.w_action or {})
+    _check_stable(k.full_ring.ideal, parity, "the full ideal")
     left = kirwan_image(k)
-    right = QuotientRing(full_ideal.colon(k.euler_prime))
+    right = QuotientRing(k.full_ring.ideal.colon(k.euler_prime))
+    _check_stable(right.ideal, parity, "(full : e')")
     if left.is_cofinite() and right.is_cofinite():
         top = max(left.top_degree(), right.top_degree(), 0)
     else:
@@ -216,7 +216,7 @@ def verify_second_iso(k: KirwanPresentation, xname: str = "x") -> bool:
             raise ValueError("no finite comparison bound: x-truncations are infinite")
         top = lx.top_degree() + rx.top_degree() + 4
     for d in range(0, top + 2, 2):
-        if left.graded_dimension(d) != _fixed_dimension(right, w_action, d):
+        if left.graded_dimension(d) != sum(1 - parity(m) for m in right.std_monomials(d)):
             return False
     return True
 

@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -9,12 +11,19 @@ from kirwan.abelianize import (
     class_b,
     class_e,
     class_eprime,
+    _sign_parity,
     kirwan_image,
     proper_quiver_weights,
     verify_second_iso,
 )
+from kirwan import linalg
 from kirwan.errors import BudgetExceeded
-from kirwan.hyperpolygon import EdgeLengths, HyperpolygonInstance, ideal_J
+from kirwan.hyperpolygon import (
+    EdgeLengths,
+    HyperpolygonInstance,
+    ideal_J,
+    second_iso_presentation,
+)
 from kirwan.ideals import Budgets, Ideal, QuotientRing
 from kirwan.rings import Polynomial, VariableTable, parse_polynomial
 
@@ -154,6 +163,97 @@ def test_second_iso_needs_full_data():
     k = KirwanPresentation(ring, Polynomial.one(T))
     with pytest.raises(ValueError):
         verify_second_iso(k)
+
+
+def _sign_case(full_generators, euler_prime="1"):
+    # full Q[u, x]/I with u -> -u; invariants Q[v, x]/<v>, v = u^2
+    T = VariableTable(["u", "x"])
+    Tv = VariableTable(["v", "x"], [4, 2])
+    full = QuotientRing(Ideal(T, [parse_polynomial(T, g) for g in full_generators]))
+    inv = QuotientRing(Ideal(Tv, [parse_polynomial(Tv, "v")]))
+    return KirwanPresentation(
+        inv, Polynomial.one(Tv), full_ring=full, euler_prime=parse_polynomial(T, euler_prime),
+        w_action={"u": parse_polynomial(T, "-u")},
+    )
+
+
+@pytest.mark.parametrize("images", [{"u": "v", "v": "u"}, {"w": "-u"}])
+def test_second_iso_rejects_a_non_sign_action(images):
+    T = VariableTable(["u", "v"])
+    ring = QuotientRing(Ideal(T, [parse_polynomial(T, "u*v")]))
+    k = KirwanPresentation(
+        ring, Polynomial.one(T), full_ring=ring, euler_prime=Polynomial.one(T),
+        w_action={name: parse_polynomial(T, image) for name, image in images.items()},
+    )
+    with pytest.raises(ValueError, match=f"W-action on {next(iter(images))} is not a sign"):
+        verify_second_iso(k)
+
+
+@pytest.mark.parametrize("generators, euler_prime, which", [
+    (["u^2 + u*x"], "1", "the full ideal"),
+    # <u^2, x^2> is W-stable, but its colon by u + x is <u - x, x^2>
+    (["u^2", "x^2"], "u + x", "(full : e')"),
+])
+def test_second_iso_rejects_an_unstable_ideal(generators, euler_prime, which):
+    with pytest.raises(ValueError, match=re.escape(f"does not preserve {which}")):
+        verify_second_iso(_sign_case(generators, euler_prime))
+
+
+def test_second_iso_reads_the_reduced_basis_not_the_generators():
+    # u^2 + u*x has terms of both parities, but <u^2 + u*x, u^2> = <u^2, u*x>
+    # is W-stable; the fixed part of Q[u, x]/<u^2, u*x> is Q[x], as is Q[v, x]/<v>
+    assert verify_second_iso(_sign_case(["u^2 + u*x", "u^2"])) is True
+
+
+def _fixed_dimension_by_rank(ring, w_action, degree):
+    """Reference: dim ker(W - 1) on one graded piece, from the reduced images
+    of its standard monomials and an exact rank."""
+    rows = [
+        ring.coordinates(p.substitute(w_action, table=ring.table), degree)
+        for p in ring.graded_basis(degree)
+    ]
+    for i, row in enumerate(rows):
+        row[i] -= 1
+    return len(rows) - linalg.rank(rows, Fraction(0), Fraction(1)) if rows else 0
+
+
+@pytest.mark.parametrize("xi", [(1, 1, 1), (1, 1, 1, 2), (1, 2, 4, 8), (1, 2, 4, 8, 16)])
+def test_fixed_dimension_parity_count_matches_rank_reference(xi):
+    k = second_iso_presentation(HyperpolygonInstance(EdgeLengths(list(xi))))
+    left = kirwan_image(k)
+    right = QuotientRing(k.full_ring.ideal.colon(k.euler_prime))
+    assert not right.is_cofinite()
+    bound = sum(ring.plus([Polynomial.variable(ring.table, "x")]).top_degree()
+                for ring in (left, right)) + 4
+    parity = _sign_parity(right.table, k.w_action)
+    moved = 0
+    for d in range(0, bound + 2, 2):
+        count = sum(1 - parity(m) for m in right.std_monomials(d))
+        assert count == _fixed_dimension_by_rank(right, k.w_action, d)
+        moved += right.graded_dimension(d) - count
+    assert moved > 0  # W negates some standard monomials: the comparison is not vacuous
+
+
+def test_second_iso_reduces_nothing(monkeypatch, inst4):
+    k = second_iso_presentation(inst4)
+    # both colons are certified, by membership reductions, and memoized first
+    kirwan_image(k)
+    k.full_ring.ideal.colon(k.euler_prime)
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for owner, name in ((Ideal, "normal_form"), (Polynomial, "substitute"), (linalg, "rank")):
+        spy(owner, name)
+    assert verify_second_iso(k) is True
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

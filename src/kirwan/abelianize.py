@@ -165,7 +165,7 @@ def kirwan_image(k: KirwanPresentation) -> QuotientRing:
     return QuotientRing(k.invariant_ring.ideal.colon(k.euler))
 
 
-def _sign_parity(table, w_action: Mapping[str, Polynomial]) -> Callable[[tuple], int]:
+def _sign_parity(table: VariableTable, w_action: Mapping[str, Polynomial]) -> Callable:
     """Exponents m -> 0 when the sign action fixes the monomial, 1 when it
     negates it; ValueError naming a variable not sent to ± itself."""
     flipped = []
@@ -178,8 +178,8 @@ def _sign_parity(table, w_action: Mapping[str, Polynomial]) -> Callable[[tuple],
     return lambda m: sum(m[i] for i in flipped) % 2
 
 
-def _check_stable(ideal, parity: Callable[[tuple], int], name: str) -> None:
-    if any(len({parity(m) for m, _ in g.terms}) > 1 for g in ideal.groebner_basis()):
+def _check_stable(ring: QuotientRing, parity: Callable, name: str) -> None:
+    if any(len({parity(m) for m, _ in g.terms}) > 1 for g in ring.ideal.groebner_basis()):
         raise ValueError(f"W-action does not preserve {name}")
 
 
@@ -204,10 +204,10 @@ def verify_second_iso(k: KirwanPresentation, xname: str = "x") -> bool:
     if k.full_ring is None or k.euler_prime is None:
         raise ValueError("second-isomorphism check needs full_ring and euler_prime")
     parity = _sign_parity(k.full_ring.table, k.w_action or {})
-    _check_stable(k.full_ring.ideal, parity, "the full ideal")
+    _check_stable(k.full_ring, parity, "the full ideal")
     left = kirwan_image(k)
     right = QuotientRing(k.full_ring.ideal.colon(k.euler_prime))
-    _check_stable(right.ideal, parity, "(full : e')")
+    _check_stable(right, parity, "(full : e')")
     if left.is_cofinite() and right.is_cofinite():
         top = max(left.top_degree(), right.top_degree(), 0)
     else:

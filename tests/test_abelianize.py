@@ -4,19 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from kirwan import linalg
 from kirwan.abelianize import (
     DagQuiver,
     KirwanPresentation,
     RootDatum,
+    _sign_parity,
     class_b,
     class_e,
     class_eprime,
-    _sign_parity,
     kirwan_image,
     proper_quiver_weights,
     verify_second_iso,
 )
-from kirwan import linalg
 from kirwan.errors import BudgetExceeded
 from kirwan.hyperpolygon import (
     EdgeLengths,

@@ -3,8 +3,9 @@
 The nonabelian quotient's cohomology is reached through the maximal torus:
 present the torus-level image, form the class e built from the roots, and
 quotient by its annihilator, computed as a certified colon ideal.  The
-Weyl-invariant side is compared degreewise against the fixed subspace of a
-sign action, counted on standard monomials.  A small DAG-weight construction
+Weyl-invariant side, whose graded dimensions are read off its Hilbert
+series, is compared degreewise against the fixed subspace of a sign
+action, counted on standard monomials.  A small DAG-weight construction
 produces the strictly-negative, edge-increasing vertex weights that make the
 ambient torus action proper.
 """
@@ -193,7 +194,8 @@ def verify_second_iso(k: KirwanPresentation, xname: str = "x") -> bool:
     has terms of one parity; the full ideal and (full : e') must pass, else
     ValueError.  A standard monomial m of (full : e') maps to ±m, already a
     normal form, so the fixed dimension of a graded piece is the number of
-    its standard monomials that W fixes.
+    its standard monomials that W fixes.  The left side's dimensions are
+    coefficients of its Hilbert series; only the right side is enumerated.
 
     Finite-dimensional quotients are compared out to their common vanishing
     degree.  Quotients that stay infinite over Q (the equivariant case, free

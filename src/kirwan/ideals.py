@@ -365,18 +365,24 @@ def _hilbert_numerator(lts: Iterable, weights: Sequence[int]) -> tuple:
                         _hilbert_numerator(colon, weights), e * weights[i], 1)
 
 
+def _series_prefix(numerator: tuple, weights: Sequence[int], length: int) -> list:
+    """The first length coefficients, by weight, of the power series
+    numerator / ∏(1 − t^w_i)."""
+    q = list(numerator[:length]) + [0] * max(0, length - len(numerator))
+    for w in weights:
+        for k in range(w, length):
+            q[k] += q[k - w]
+    return q
+
+
 def _hilbert_series(numerator: tuple, weights: Sequence[int]) -> tuple | None:
     """HS = numerator / ∏(1 − t^w_i) as a polynomial, dimensions by weight, or
-    None when the quotient is infinite-dimensional: some division is inexact."""
-    series = numerator
-    for w in weights:
-        q = list(series)
-        for k in range(w, len(q)):
-            q[k] += q[k - w]
-        if any(q[-w:]):
-            return None
-        series = tuple(q[:-w])
-    return series
+    None when the quotient is infinite-dimensional: past the numerator the
+    series obeys a recurrence of order Σw_i, so it is a polynomial iff its
+    last Σw_i coefficients below len(numerator) vanish."""
+    q = _series_prefix(numerator, weights, len(numerator))
+    top = max(len(numerator) - sum(weights), 0)
+    return None if any(q[top:]) else tuple(q[:top])
 
 
 class Ideal:
@@ -650,7 +656,13 @@ class QuotientRing:
         return self._std[w]
 
     def graded_dimension(self, degree: int) -> int:
-        return len(self.std_monomials(degree))
+        """The number of standard monomials of the given cohomological degree:
+        a coefficient of HN / ∏(1 − t^w_i), read off the verified basis's
+        Hilbert numerator, for finite and infinite quotients alike."""
+        if degree < 0 or degree % 2 == 1:
+            return 0
+        w = degree // 2
+        return _series_prefix(self.ideal._numerator(), self.table.weights, w + 1)[w]
 
     def graded_basis(self, degree: int) -> list:
         return [Polynomial(self.table, [(m, Fraction(1))]) for m in self.std_monomials(degree)]

@@ -1,13 +1,13 @@
 import json
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import jsonschema
 import pytest
 
 import kirwan
-from kirwan import cli, cofactors, hyperpolygon, ideals
+from kirwan import cli, cofactors, hyperpolygon, ideals, linalg
 from kirwan.abelianize import class_b, class_e, class_eprime
 from kirwan.errors import NonGenericError, VerificationError
 from kirwan.hyperpolygon import (
@@ -29,7 +29,7 @@ from kirwan.hyperpolygon import (
     second_iso_presentation,
     su2_datum,
 )
-from kirwan.ideals import Ideal
+from kirwan.ideals import Ideal, QuotientRing
 from kirwan.rings import Polynomial, parse_polynomial
 
 
@@ -190,6 +190,18 @@ def test_konno_rejects_small_n():
         konno_ring(2)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_konno_generators_have_the_reduced_basis_of_every_degree_n_minus_2_monomial(n):
+    ring = konno_ring(n)
+    gens = list(ring.ideal.generators[:n - 1])  # the square differences
+    for mono in combinations_with_replacement(range(n), n - 2):
+        e = [0] * n
+        for i in mono:
+            e[i] += 1
+        gens.append(Polynomial(ring.table, [(tuple(e), Fraction(1))]))
+    assert Ideal(ring.table, gens).groebner_basis() == ring.ideal.groebner_basis()
+
+
 def test_basis_check_n4(inst4):
     assert basis_dimension_check(inst4) == {
         "degree": 4,
@@ -197,6 +209,37 @@ def test_basis_check_n4(inst4):
         "expected": 7,
         "independent": True,
     }
+
+
+def _d_image_rank(inst):
+    """The reference for basis_check: the Fraction rank of the D_S
+    coordinates in degree 2(n-2) of Q/<c_i^2 - a2, x>."""
+    x = Polynomial.variable(inst.table_Q, "x")
+    ring = QuotientRing(Ideal(inst.table_Q, list(inst.relations_Q) + [x]))
+    rows = [ring.coordinates(inst.D(S), 2 * (inst.n - 2)) for S in inst.table.nonempty_shorts()]
+    return linalg.rank(rows, Fraction(0), Fraction(1))
+
+
+@pytest.mark.parametrize("xi", [(1, 1, 1), (1, 1, 1, 2), (1, 2, 4, 8), (1, 1, 1, 1, 1),
+                                (1, 2, 4, 8, 16),
+                                pytest.param((1, 2, 4, 8, 16, 32), marks=pytest.mark.slow)])
+def test_basis_check_independence_matches_the_rank_of_the_d_images(xi):
+    inst = HyperpolygonInstance(EdgeLengths(xi))
+    res = basis_dimension_check(inst)
+    assert res["independent"] is (_d_image_rank(inst) == res["expected"]) is True
+
+
+def test_basis_check_sees_dependent_d_images():
+    # D_T replaced by 2*D_S in both the rank reference and the ordinary ring;
+    # that D-presentation is no longer (J : e), so it is installed as the
+    # colon by hand
+    inst = HyperpolygonInstance(EdgeLengths([1, 1, 1, 2]))
+    S, T = inst.table.nonempty_shorts()[:2]
+    inst._D_cache[(T, inst.n)] = inst.D(S) * 2
+    ideal_J(inst)._colons[inst.euler_e] = d_presentation_ideal(inst)
+    res = basis_dimension_check(inst)
+    assert _d_image_rank(inst) == res["expected"] - 1
+    assert res["independent"] is False
 
 
 def test_localized_ranks(inst3, inst4, inst5):
@@ -208,6 +251,35 @@ def test_localized_ranks(inst3, inst4, inst5):
 def test_low_degree_rigidity(inst4, inst5):
     assert low_degree_rigidity(inst4) is True
     assert low_degree_rigidity(inst5) is True
+
+
+@pytest.mark.parametrize("xi", [(1, 1, 1, 2), (1, 1, 1, 1, 1), (1, 2, 4, 8, 16)])
+def test_low_degree_rigidity_matches_the_standard_monomial_lists(xi):
+    # the reference compares the lists themselves; through degree 2(n-2),
+    # where the D_S first differ, equal counts and equal lists agree
+    inst = HyperpolygonInstance(EdgeLengths(xi))
+    RJ, RK = QuotientRing(ideal_J(inst)), prop_hp(inst)
+    same = [RJ.std_monomials(d) == RK.std_monomials(d) for d in range(0, 2 * inst.n - 2, 2)]
+    assert same == [RJ.graded_dimension(d) == RK.graded_dimension(d)
+                    for d in range(0, 2 * inst.n - 2, 2)]
+    assert same[-1] is False
+    assert low_degree_rigidity(inst) is all(same[:-1]) is True
+
+
+@pytest.mark.parametrize("xi", [(1, 1, 1, 2), (1, 2, 4, 8, 16)])
+def test_graded_dimension_counts_standard_monomials_on_infinite_quotients(xi):
+    # J and (J : e) live over a table where a2 has weight 2; the degrees run
+    # out to verify_second_iso's comparison bound
+    inst = HyperpolygonInstance(EdgeLengths(xi))
+    assert bridge_check(inst)
+    I = ideal_I(inst)
+    left, right = prop_hp(inst), QuotientRing(I.colon(inst.euler_eprime))
+    top = sum(ring.plus([Polynomial.variable(ring.table, "x")]).top_degree()
+              for ring in (left, right)) + 4
+    for ring in (QuotientRing(ideal_J(inst)), left, QuotientRing(I), right):
+        assert not ring.is_cofinite()
+        for d in range(0, top + 2, 2):
+            assert ring.graded_dimension(d) == len(ring.std_monomials(d))
 
 
 def test_bridge(inst3, inst4):
@@ -446,8 +518,9 @@ def test_report_contents(report4):
 def test_report_computes_each_thing_once(monkeypatch):
     # every Groebner run has a distinct input, no colon is eliminated, the
     # bases of J + <e> and I + <e'> behind the colon certificates are each
-    # built once, from the verified bases of J and I plus e and e', and each
-    # certificate is verified once
+    # built once, from the verified bases of J and I plus e and e', each
+    # certificate is verified once, and no count needs a normal-form
+    # coordinate or a rank
     runs = []
     real_complete = ideals._complete
 
@@ -455,7 +528,7 @@ def test_report_computes_each_thing_once(monkeypatch):
         runs.append((tuple(seed), tuple(g.terms for g in generators), order))
         return real_complete(seed, generators, order, budgets)
 
-    counts = {"intersect": 0, "verify": 0}
+    counts = {"intersect": 0, "verify": 0, "rank": 0, "coordinates": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -468,10 +541,14 @@ def test_report_computes_each_thing_once(monkeypatch):
     monkeypatch.setattr(
         MembershipCertificate, "verify", counted("verify", MembershipCertificate.verify)
     )
+    monkeypatch.setattr(linalg, "rank", counted("rank", linalg.rank))
+    monkeypatch.setattr(
+        QuotientRing, "coordinates", counted("coordinates", QuotientRing.coordinates)
+    )
     report = full_report(EdgeLengths([1, 1, 1, 2]))
     made = list(runs)
     assert made and len(set(made)) == len(made), f"{len(made)} runs, {len(set(made))} distinct"
-    assert counts["intersect"] == 0
+    assert counts["intersect"] == counts["rank"] == counts["coordinates"] == 0
     inst = HyperpolygonInstance(EdgeLengths([1, 1, 1, 2]))
     for ideal, f in ((ideal_J(inst), inst.euler_e), (ideal_I(inst), inst.euler_eprime)):
         assert [run[:2] for run in made].count((ideal._gb().kps, (f.terms,))) == 1

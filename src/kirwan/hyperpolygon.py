@@ -6,8 +6,8 @@ ring is the invariant ambient modulo (J : e), the annihilator of
 e = a2*(x^2 - a2).  Exact Hilbert numerators and the Hilbert exact sequence
 certify the predicted presentation by D-classes to be (J : e); its lift
 a2 -> a^2 is the candidate for (I : e').  Every membership e*D_S in J is
-certified by an explicit combination of C-classes built by the peel
-recursion of the Hausel-Proudfoot induction and checked once by expansion
+certified by an explicit combination of C-classes, the closed form the
+Hausel-Proudfoot induction on |S| unrolls to, and checked once by expansion
 modulo the ring relations; the ordinary ring is recovered by killing x and
 compared against the independent degree-truncation model.
 """
@@ -98,10 +98,6 @@ class ShortSubsetTable:
         return min(frozenset(range(1, self.n + 1)) - S)
 
 
-def shorts(lengths: EdgeLengths) -> ShortSubsetTable:
-    return ShortSubsetTable(lengths)
-
-
 class HyperpolygonInstance:
     """One edge-length vector with its rings, classes, and caches.
 
@@ -114,7 +110,7 @@ class HyperpolygonInstance:
     def __init__(self, lengths: EdgeLengths, budgets: Budgets | None = None):
         self.lengths = lengths
         self.n = lengths.n
-        self.table = shorts(lengths)
+        self.table = ShortSubsetTable(lengths)
         self.budgets = budgets or DEFAULT_BUDGETS
         n = self.n
         cnames = tuple(f"c{i}" for i in range(1, n + 1))
@@ -147,19 +143,13 @@ class HyperpolygonInstance:
     def weyl_involution(self) -> dict:
         return {"a": parse_polynomial(self.table_P, "-a")}
 
-    # -- level-aware generator formulas ------------------------------------
-    # level l restricts every product to indices 1..l; the full instance is
-    # level n.  Lower levels only appear inside certificate recursions.
-
-    def _AB(self, S: frozenset, level: int) -> tuple:
-        """(A_S, B_S) at this level, built once: C_S and the generators of I
-        share them."""
-        key = (S, level)
-        if key not in self._AB_cache:
+    def _AB(self, S: frozenset) -> tuple:
+        """(A_S, B_S), built once: C_S and the generators of I share them."""
+        if S not in self._AB_cache:
             x = Polynomial.variable(self.table_P, "x")
             A = Polynomial.one(self.table_P)
             B = Polynomial.one(self.table_P)
-            for i in range(1, level + 1):
+            for i in range(1, self.n + 1):
                 a, b = self._letters[i]
                 if i in S:
                     A = A * (x - a)
@@ -167,8 +157,8 @@ class HyperpolygonInstance:
                 else:
                     A = A * b
                     B = B * a
-            self._AB_cache[key] = A, B
-        return self._AB_cache[key]
+            self._AB_cache[S] = A, B
+        return self._AB_cache[S]
 
     def _even_to_Q(self, p: Polynomial) -> Polynomial:
         """Rewrite an even-in-a polynomial into the a2 ambient (a^2 -> a2)."""
@@ -181,27 +171,24 @@ class HyperpolygonInstance:
 
         return p.map_monomials(self.table_Q, halve)
 
-    def C(self, S: Iterable[int], level: int | None = None) -> Polynomial:
-        level = self.n if level is None else level
+    def C(self, S: Iterable[int]) -> Polynomial:
         S = frozenset(S)
-        key = (S, level)
-        if key not in self._C_cache:
-            if not S <= frozenset(range(1, level + 1)):
-                raise ValueError("subset exceeds the level")
-            A, B = self._AB(S, level)
-            self._C_cache[key] = self._even_to_Q(A + B)
-        return self._C_cache[key]
+        if S not in self._C_cache:
+            if not S <= frozenset(range(1, self.n + 1)):
+                raise ValueError(f"{sorted(S)} is not a subset of 1..{self.n}")
+            A, B = self._AB(S)
+            self._C_cache[S] = self._even_to_Q(A + B)
+        return self._C_cache[S]
 
-    def D(self, S: Iterable[int], level: int | None = None) -> Polynomial:
-        level = self.n if level is None else level
+    def D(self, S: Iterable[int]) -> Polynomial:
         S = frozenset(S)
-        key = (S, level)
-        if key not in self._D_cache:
+        if S not in self._D_cache:
             if not S:
                 raise ValueError("D_S needs a nonempty subset")
-            if not S <= frozenset(range(1, level + 1)):
-                raise ValueError("subset exceeds the level")
-            comp = frozenset(range(1, level + 1)) - S
+            full = frozenset(range(1, self.n + 1))
+            if not S <= full:
+                raise ValueError(f"{sorted(S)} is not a subset of 1..{self.n}")
+            comp = full - S
             m = min(S)
             anchor = min(comp) if comp else None
             out = Polynomial.one(self.table_Q)
@@ -211,8 +198,8 @@ class HyperpolygonInstance:
             for j in sorted(comp):
                 if j != anchor:
                     out = out * parse_polynomial(self.table_Q, f"c{anchor} + c{j}")
-            self._D_cache[key] = out
-        return self._D_cache[key]
+            self._D_cache[S] = out
+        return self._D_cache[S]
 
 
 # -- the ideals -------------------------------------------------------------
@@ -229,7 +216,7 @@ def ideal_I(inst: HyperpolygonInstance) -> Ideal:
     if inst._I is None:
         gens: list = []
         for S in inst.table.shorts:
-            A, B = inst._AB(S, inst.n)
+            A, B = inst._AB(S)
             gens.extend([A, B])
         inst._I = Ideal(inst.table_P, gens + list(inst.relations_P), budgets=inst.budgets)
     return inst._I
@@ -260,8 +247,9 @@ class MembershipCertificate:
     """e*D_S as an explicit combination of C_T over short T contained in S.
 
     The identity holds modulo the ring relations c_i^2 - a2.  method is
-    "recursion" for a certificate built here, or whatever a loaded payload
-    carries.
+    "recursion" for a certificate built here, from the closed form the
+    Hausel-Proudfoot induction on |S| unrolls to, or whatever a loaded
+    payload carries.
     """
 
     subset: frozenset
@@ -304,65 +292,43 @@ class MembershipCertificate:
         return cert
 
 
-def _swap_map(inst: HyperpolygonInstance, i: int, j: int) -> dict:
-    return {
-        f"c{i}": Polynomial.variable(inst.table_Q, f"c{j}"),
-        f"c{j}": Polynomial.variable(inst.table_Q, f"c{i}"),
-    }
+def _closed_form(inst: HyperpolygonInstance, S: frozenset) -> dict:
+    """Coefficients {T: coeff} with sum coeff*C_T = e*D_S modulo relations:
+    with m = min S and lam = 2^(n-|S|-1),
 
+        e*D_S = sum over every U contained in S - {m} of
+                (-1)^|U| * lam*(x + c_m) * ((2x - c_m)*C_U - c_m*C_{U u {m}}).
 
-def _base_certificate(inst: HyperpolygonInstance, level: int) -> dict:
-    """Certificate for S = {level} at the given level, verified by expansion.
+    This unrolls the Hausel-Proudfoot induction on |S|.  Let l be the top
+    index in play and C', D' the classes built from the indices below it.
+    If l is in S and l != m, D_S = (c_l - x)*D'_{S-{l}} and C_T - C_{T u {l}} = (c_l - x)*C'_T, so a
+    certificate {T: c} of e*D'_{S-{l}} becomes {T: c, T u {l}: -c} for e*D_S.
+    Relabelling indices so that the top one lies in S, the induction peels
+    every element of S but m and stops at the base S = {k} over indices
+    1..k, k = n-|S|+1:
 
-    e*D_{level} = 2^(level-2) * (x+c_level) * ((2x-c_level)*C_empty - c_level*C_{level})
-    with all classes taken at this level.
+        e*D_k = 2^(k-2) * (x + c_k) * ((2x - c_k)*C_empty - c_k*C_k).
+
+    No relabelling moves c_m before the base, where c_k becomes c_m, so
+    lam = 2^(k-2), and each peeled index doubles the terms with a sign.
     """
-    lam = Fraction(2) ** (level - 2)
-    cl = Polynomial.variable(inst.table_Q, f"c{level}")
+    m = min(S)
+    c = Polynomial.variable(inst.table_Q, f"c{m}")
     x = Polynomial.variable(inst.table_Q, "x")
-    front = (x + cl) * lam
-    terms = {
-        frozenset(): front * (x * 2 - cl),
-        frozenset({level}): front * (-cl),
-    }
-    lhs = inst.euler_e * inst.D(frozenset({level}), level)
-    rhs = Polynomial.zero(inst.table_Q)
-    for T, coeff in terms.items():
-        rhs = rhs + coeff * inst.C(T, level)
-    if not inst._rel_ideal_Q.normal_form(lhs - rhs).is_zero():
-        raise VerificationError(f"base-case identity failed at level {level}")
-    return terms
-
-
-def _cert_recursion(inst: HyperpolygonInstance, S: frozenset, level: int) -> dict:
-    """Coefficients {T: coeff} with sum coeff*C_T(level) = e*D_S(level) mod
-    relations, following the proof shape: relabel so the top index lies in
-    S, peel it, lift through C_T - C_{T u {top}} = (c_top - x)*C'_T."""
-    w = max(S)
-    if w < level:
-        swap = _swap_map(inst, w, level)
-        relabeled = frozenset({level if i == w else i for i in S})
-        inner = _cert_recursion(inst, relabeled, level)
-        out: dict = {}
-        for T, coeff in inner.items():
-            back = frozenset({w if i == level else i for i in T})
-            out[back] = out.get(back, Polynomial.zero(inst.table_Q)) + coeff.substitute(
-                swap, table=inst.table_Q
-            )
-        return out
-    if len(S) == 1:
-        return _base_certificate(inst, level)
-    inner = _cert_recursion(inst, S - {level}, level - 1)
-    out = {}
-    for T, coeff in inner.items():
-        out[T] = out.get(T, Polynomial.zero(inst.table_Q)) + coeff
-        Tn = T | {level}
-        out[Tn] = out.get(Tn, Polynomial.zero(inst.table_Q)) - coeff
+    front = (x + c) * Fraction(2) ** (inst.n - len(S) - 1)
+    without_m, with_m = front * (x * 2 - c), front * -c
+    rest = sorted(S - {m})
+    out: dict = {}
+    for r in range(len(rest) + 1):
+        sign = (-1) ** r
+        for U in map(frozenset, combinations(rest, r)):
+            out[U] = without_m * sign
+            out[U | {m}] = with_m * sign
     return out
 
 
 def certify_membership(inst: HyperpolygonInstance, S: Iterable[int]) -> MembershipCertificate:
-    """The peel-recursion certificate for e*D_S, verified by expansion.
+    """The closed-form certificate for e*D_S, verified by expansion.
 
     A returned certificate has passed verify(); one that fails it raises
     VerificationError.
@@ -370,12 +336,8 @@ def certify_membership(inst: HyperpolygonInstance, S: Iterable[int]) -> Membersh
     S = frozenset(S)
     if not S or not inst.table.is_short(S):
         raise ValueError(f"{sorted(S)} is not a nonempty short subset")
-    raw = _cert_recursion(inst, S, inst.n)
-    combination = tuple(
-        (T, coeff)
-        for T, coeff in sorted(raw.items(), key=lambda kv: (len(kv[0]), _canon(kv[0])))
-        if not coeff.is_zero()
-    )
+    combination = tuple(sorted(_closed_form(inst, S).items(),
+                               key=lambda kv: (len(kv[0]), _canon(kv[0]))))
     cert = MembershipCertificate(S, inst.euler_e * inst.D(S), combination, "recursion")
     if not cert.verify(inst):
         raise VerificationError(f"certificate for {sorted(S)} failed its expansion check")

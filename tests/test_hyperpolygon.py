@@ -100,6 +100,16 @@ def test_d_classes_n4(inst4):
     )
 
 
+def test_classes_reject_indices_outside_1_to_n(inst4):
+    for S in ({0}, {5}, {1, 5}, {-1, 2}):
+        with pytest.raises(ValueError):
+            inst4.C(S)
+        with pytest.raises(ValueError):
+            inst4.D(S)
+    with pytest.raises(ValueError):
+        inst4.D(())
+
+
 def test_d_degree(inst4):
     for S in inst4.table.nonempty_shorts():
         D = inst4.D(S)
@@ -235,7 +245,7 @@ def test_basis_check_sees_dependent_d_images():
     # colon by hand
     inst = HyperpolygonInstance(EdgeLengths([1, 1, 1, 2]))
     S, T = inst.table.nonempty_shorts()[:2]
-    inst._D_cache[(T, inst.n)] = inst.D(S) * 2
+    inst._D_cache[T] = inst.D(S) * 2
     ideal_J(inst)._colons[inst.euler_e] = d_presentation_ideal(inst)
     res = basis_dimension_check(inst)
     assert _d_image_rank(inst) == res["expected"] - 1
@@ -343,10 +353,10 @@ def test_certificate_closed_form_n3_corrected_constant():
     assert rel.normal_form(expansion - target).is_zero()
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_certificate_closed_form_corrected_constant(n):
-    # The same closed form past the n=3 base case, at S = {n} with every
-    # class at level n: 2^(n-2) expands to e*D_S, and criterion 2's stated
+    # The same closed form past the n=3 base case, at S = {n} with the
+    # instance's own classes: 2^(n-2) expands to e*D_S, and criterion 2's stated
     # 2^(n-3) leaves a nonzero residue here too.
     inst = HyperpolygonInstance(EdgeLengths([2 ** i for i in range(n)]))
     T = inst.table_Q
@@ -379,7 +389,7 @@ def test_certificates_all_shorts(inst4):
 def test_recursion_certifies_every_subset(n):
     # xi_i = 2^i on S and 2^(n+1+i) off it: S is short, every subset sum is
     # distinct (so xi is generic), and every nonempty proper S occurs.  The
-    # recursion depends on xi only through which subsets are short.
+    # certificate depends on xi only through which subsets are short.
     for r in range(1, n):
         for S in combinations(range(1, n + 1), r):
             S = frozenset(S)
@@ -390,21 +400,37 @@ def test_recursion_certifies_every_subset(n):
             assert all(T <= S for T, _ in cert.combination)
 
 
+def test_certificates_take_one_normal_form_and_no_relabelling(monkeypatch):
+    # one expansion check per certificate, and no swap of variables
+    inst = HyperpolygonInstance(EdgeLengths([1, 1, 1, 2]))
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for owner, name in ((Ideal, "normal_form"), (Polynomial, "substitute")):
+        spy(owner, name)
+    subsets = inst.table.nonempty_shorts()
+    for S in subsets:
+        certify_membership(inst, S)
+    assert calls == ["normal_form"] * len(subsets)
+
+
 @pytest.fixture
 def dropped_term(monkeypatch):
-    """Drop one term from the outermost recursion result (inner calls go
-    through the same name); returns the list of express_in_ideal calls."""
-    real = hyperpolygon._cert_recursion
-    depth = [0]
+    """Drop the largest term from every closed-form certificate; returns the
+    list of express_in_ideal calls."""
+    real = hyperpolygon._closed_form
 
-    def recursion(inst, S, level):
-        depth[0] += 1
-        try:
-            out = dict(real(inst, S, level))
-        finally:
-            depth[0] -= 1
-        if depth[0] == 0:
-            del out[max(out, key=lambda T: (len(T), sorted(T)))]
+    def closed_form(inst, S):
+        out = dict(real(inst, S))
+        del out[max(out, key=lambda T: (len(T), sorted(T)))]
         return out
 
     calls = []
@@ -414,7 +440,7 @@ def dropped_term(monkeypatch):
         calls.append(args)
         return express(*args, **kwargs)
 
-    monkeypatch.setattr(hyperpolygon, "_cert_recursion", recursion)
+    monkeypatch.setattr(hyperpolygon, "_closed_form", closed_form)
     for module in (kirwan, cofactors, hyperpolygon):
         monkeypatch.setattr(module, "express_in_ideal", spy, raising=False)
     return calls

@@ -73,9 +73,12 @@ def _parse_xi(values) -> list:
 
 def _parse_subset(text: str) -> frozenset:
     try:
-        return frozenset(int(tok) for tok in text.replace(",", " ").split())
+        indices = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ParseError(f"bad subset {text!r}: {exc}") from None
+    if len(set(indices)) != len(indices):
+        raise ParseError(f"bad subset {text!r}: repeated index")
+    return frozenset(indices)
 
 
 def _budgets(args) -> Budgets:

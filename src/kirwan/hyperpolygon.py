@@ -60,7 +60,7 @@ def _canon(S: Iterable[int]) -> tuple:
 
 
 class ShortSubsetTable:
-    """All short subsets of {1..n}, with the distinguished elements m_S, n_S."""
+    """All short subsets of {1..n}."""
 
     def __init__(self, lengths: EdgeLengths):
         self.n = lengths.n
@@ -84,18 +84,6 @@ class ShortSubsetTable:
 
     def nonempty_shorts(self) -> list:
         return [S for S in self.shorts if S]
-
-    def m_S(self, S: Iterable[int]) -> int:
-        S = frozenset(S)
-        if not S or S not in self._short_set:
-            raise ValueError("m_S needs a nonempty short subset")
-        return min(S)
-
-    def n_S(self, S: Iterable[int]) -> int:
-        S = frozenset(S)
-        if not S or S not in self._short_set:
-            raise ValueError("n_S needs a nonempty short subset")
-        return min(frozenset(range(1, self.n + 1)) - S)
 
 
 class HyperpolygonInstance:
@@ -144,19 +132,20 @@ class HyperpolygonInstance:
         return {"a": parse_polynomial(self.table_P, "-a")}
 
     def _AB(self, S: frozenset) -> tuple:
-        """(A_S, B_S), built once: C_S and the generators of I share them."""
+        """(A_S, B_S), built once: C_S and the generators of I share them.
+
+        a -> -a swaps each a_i with b_i, so B_S is the image of A_S.  The map
+        keeps every monomial, hence every order key and packed monomial, and
+        only negates the terms with an odd power of a."""
         if S not in self._AB_cache:
             x = Polynomial.variable(self.table_P, "x")
             A = Polynomial.one(self.table_P)
-            B = Polynomial.one(self.table_P)
             for i in range(1, self.n + 1):
                 a, b = self._letters[i]
-                if i in S:
-                    A = A * (x - a)
-                    B = B * (x - b)
-                else:
-                    A = A * b
-                    B = B * a
+                A = A * (x - a) if i in S else A * b
+            odd_a = self.table_P.pack(self.table_P.unit_exponents("a"))
+            B = Polynomial.from_packed(
+                self.table_P, [(k, m, -c if m & odd_a else c) for k, m, c in A.packed], A.scale)
             self._AB_cache[S] = A, B
         return self._AB_cache[S]
 
@@ -191,13 +180,15 @@ class HyperpolygonInstance:
             comp = full - S
             m = min(S)
             anchor = min(comp) if comp else None
+            c = {i: Polynomial.variable(self.table_Q, f"c{i}") for i in full}
+            x = Polynomial.variable(self.table_Q, "x")
             out = Polynomial.one(self.table_Q)
             for i in sorted(S):
                 if i != m:
-                    out = out * parse_polynomial(self.table_Q, f"c{i} - x")
+                    out = out * (c[i] - x)
             for j in sorted(comp):
                 if j != anchor:
-                    out = out * parse_polynomial(self.table_Q, f"c{anchor} + c{j}")
+                    out = out * (c[anchor] + c[j])
             self._D_cache[S] = out
         return self._D_cache[S]
 
@@ -258,12 +249,14 @@ class MembershipCertificate:
     method: str
 
     def verify(self, inst: HyperpolygonInstance) -> bool:
-        acc = Polynomial.zero(inst.table_Q)
-        for T, coeff in self.combination:
-            if not inst.table.is_short(T) or not frozenset(T) <= self.subset:
-                return False
-            acc = acc + coeff * inst.C(T)
-        return inst._rel_ideal_Q.normal_form(acc - self.target).is_zero()
+        """Every T short and inside S, and sum coeff*C_T - target, expanded in
+        one pass, reduces to zero modulo the ring relations."""
+        if not all(inst.table.is_short(T) and frozenset(T) <= self.subset
+                   for T, _ in self.combination):
+            return False
+        pairs = [(coeff, inst.C(T)) for T, coeff in self.combination]
+        pairs.append((Polynomial.constant(inst.table_Q, -1), self.target))
+        return inst._rel_ideal_Q.normal_form(Polynomial.dot(inst.table_Q, pairs)).is_zero()
 
     def to_dict(self) -> dict:
         return {

@@ -292,11 +292,18 @@ def _collect(table: VariableTable, blocks, scale: Fraction) -> "Polynomial":
     return _canonical(table, [(k, monos[k], v) for k, v in sorted(acc.items()) if v], scale)
 
 
-def _sum(table: VariableTable, parts) -> "Polynomial":
-    """The sum of s * terms over (Fraction s, packed terms) parts."""
-    den = lcm(*[s.denominator for s, _ in parts])
-    return _collect(table, [(0, 0, s.numerator * (den // s.denominator), t) for s, t in parts],
-                    Fraction(1, den))
+def _dot(table: VariableTable, parts) -> "Polynomial":
+    """Σ s·f·g over (Fraction s, f terms, g terms) parts in one _collect:
+    every s is an integer multiple of one common Fraction, and each term of
+    f contributes a block over the terms of g."""
+    parts = [part for part in parts if part[0]]
+    g = gcd(*[s.numerator for s, _, _ in parts])
+    den = lcm(*[s.denominator for s, _, _ in parts])
+    blocks = []
+    for s, f, h in parts:
+        r = s.numerator // g * (den // s.denominator)
+        blocks += [(dk, dm, r * c, h) for dk, dm, c in f]
+    return _collect(table, blocks, Fraction(g, den))
 
 
 class Polynomial:
@@ -348,6 +355,17 @@ class Polynomial:
             v = table._variables[name] = _make(
                 table, (table.packed_monomial(table.unit_exponents(name)) + (1,),), Fraction(1))
         return v
+
+    @classmethod
+    def dot(cls, table: VariableTable, pairs: Iterable[tuple]) -> "Polynomial":
+        """Σ f·g over (f, g) pairs of polynomials on `table`, expanded in one
+        pass: one dict and one sort for the whole sum, however many pairs."""
+        parts = []
+        for f, g in pairs:
+            if f.table != table or g.table != table:
+                raise ValueError("polynomials from different tables")
+            parts.append((f.scale * g.scale, f.packed, g.packed))
+        return _dot(table, parts)
 
     @classmethod
     def from_packed(cls, table: VariableTable, terms, scale: Coefficient = 1) -> "Polynomial":
@@ -413,7 +431,8 @@ class Polynomial:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        return _sum(self.table, ((self.scale, self.packed), (p.scale, p.packed)))
+        return _dot(self.table, ((self.scale, _CONSTANT_TERMS, self.packed),
+                                 (p.scale, _CONSTANT_TERMS, p.packed)))
 
     __radd__ = __add__
 
@@ -424,7 +443,8 @@ class Polynomial:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        return _sum(self.table, ((self.scale, self.packed), (-p.scale, p.packed)))
+        return _dot(self.table, ((self.scale, _CONSTANT_TERMS, self.packed),
+                                 (-p.scale, _CONSTANT_TERMS, p.packed)))
 
     def __rsub__(self, other):
         return -self + other
@@ -436,9 +456,7 @@ class Polynomial:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        # keys and packed monomials add under multiplication
-        return _collect(self.table, [t + (self.packed,) for t in p.packed],
-                        self.scale * p.scale)
+        return _dot(self.table, ((self.scale * p.scale, p.packed, self.packed),))
 
     __rmul__ = __mul__
 
@@ -529,8 +547,8 @@ class Polynomial:
                     if (i, e) not in powers:
                         powers[i, e] = full[i] ** e
                     term = term * powers[i, e]
-            parts.append((self.scale * term.scale * c, term.packed))
-        return _sum(table, parts)
+            parts.append((self.scale * term.scale * c, _CONSTANT_TERMS, term.packed))
+        return _dot(table, parts)
 
     def map_monomials(self, table: VariableTable, fn, odd: Sequence[int] = ()) -> "Polynomial":
         """Σ ±c·x^fn(e) over `table`, terms with coinciding images merged.

@@ -187,6 +187,14 @@ def test_usage_error_on_zero_length(capsys):
     assert code == 2
 
 
+def test_usage_error_on_repeated_subset_index(capsys):
+    code, out, err = run_cli(capsys, "certify", "--xi", "1", "2", "4", "8", "16",
+                             "--subset", "1,1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "usage"
+
+
 def test_usage_error_on_unwritable_out(capsys, tmp_path):
     dest = tmp_path / "missing" / "x.json"
     code, out, err = run_cli(capsys, "shorts", "--xi", "1", "1", "1", "--out", str(dest))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from importlib import resources
@@ -5,6 +6,8 @@ from itertools import combinations, combinations_with_replacement
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kirwan
 from kirwan import cli, cofactors, hyperpolygon, ideals, linalg
@@ -60,17 +63,6 @@ def test_short_counts(inst3, inst4, inst5):
         full = frozenset(range(1, inst.n + 1))
         for S in inst.table.shorts:
             assert not inst.table.is_short(full - S)
-
-
-def test_distinguished_indices(inst4):
-    t = inst4.table
-    assert t.m_S({2, 3}) == 2
-    assert t.n_S({2, 3}) == 1
-    assert t.n_S({1}) == 2
-    with pytest.raises(ValueError):
-        t.m_S(())
-    with pytest.raises(ValueError):
-        t.n_S({3, 4})  # long for (1,1,1,2)
 
 
 def test_unbalanced_shorts(inst5):
@@ -420,6 +412,103 @@ def test_certificates_take_one_normal_form_and_no_relabelling(monkeypatch):
     for S in subsets:
         certify_membership(inst, S)
     assert calls == ["normal_form"] * len(subsets)
+
+
+def _verify_term_by_term(cert, inst):
+    """The check verify() replaced, kept as its reference: one product and one
+    sum per term, then one normal form."""
+    acc = Polynomial.zero(inst.table_Q)
+    for T, coeff in cert.combination:
+        if not inst.table.is_short(T) or not frozenset(T) <= cert.subset:
+            return False
+        acc = acc + coeff * inst.C(T)
+    return inst._rel_ideal_Q.normal_form(acc - cert.target).is_zero()
+
+
+_q_polys = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 2)] * 6),
+              st.fractions(min_value=-20, max_value=20, max_denominator=9)),
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_pass_verify_agrees_with_the_term_by_term_loop(inst4, data):
+    # A real certificate, rewritten: coefficients split over repeated T, moved
+    # by multiples of a relation, a zero term added, the order shuffled; then
+    # possibly broken by an arbitrary extra term.
+    T_Q = inst4.table_Q
+    S = data.draw(st.sampled_from(inst4.table.nonempty_shorts()))
+    cert = certify_membership(inst4, S)
+    inside = [T for T in inst4.table.shorts if T <= S]
+    combination = []
+    for T, coeff in cert.combination:
+        part = Polynomial(T_Q, data.draw(_q_polys))
+        rel = data.draw(st.sampled_from(inst4.relations_Q))
+        shift = rel * Polynomial(T_Q, data.draw(_q_polys))
+        combination += [(T, part), (T, coeff - part + shift)]
+    combination.append((data.draw(st.sampled_from(inside)), Polynomial.zero(T_Q)))
+    broken = data.draw(st.booleans())
+    if broken:
+        extra = Polynomial(T_Q, data.draw(_q_polys))
+        combination.append((data.draw(st.sampled_from(inside)), extra))
+    combination = data.draw(st.permutations(combination))
+    candidate = MembershipCertificate(S, cert.target, tuple(combination), "loaded")
+    verdict = candidate.verify(inst4)
+    assert verdict == _verify_term_by_term(candidate, inst4)
+    assert verdict or broken
+
+
+@pytest.mark.parametrize("k", [1, 40, 200])
+def test_verify_rejects_one_coefficient_scaled_by_one_plus_two_to_minus_k(inst5, k):
+    cert = certify_membership(inst5, {1, 2, 3})
+    for i, (T, coeff) in enumerate(cert.combination):
+        combination = list(cert.combination)
+        combination[i] = (T, coeff * (1 + Fraction(1, 2 ** k)))
+        assert not dataclasses.replace(cert, combination=tuple(combination)).verify(inst5)
+
+
+def test_verify_rejects_a_long_or_outside_subset_before_any_arithmetic(inst4, monkeypatch):
+    def no_expansion(*args):
+        raise AssertionError("verify expanded a certificate it should reject")
+
+    cert = certify_membership(inst4, {1, 2})
+    monkeypatch.setattr(Polynomial, "dot", no_expansion)
+    one = Polynomial.one(inst4.table_Q)
+    for T in ({3}, {1, 2, 3}, {3, 4}):  # short outside S, long outside S
+        combination = cert.combination + ((frozenset(T), one),)
+        assert not dataclasses.replace(cert, combination=combination).verify(inst4)
+    # a long T inside a long subset is rejected for being long
+    long_S = frozenset({1, 4})
+    long_cert = MembershipCertificate(long_S, inst4.euler_e * inst4.D(long_S),
+                                      ((long_S, one),), "loaded")
+    assert not long_cert.verify(inst4)
+
+
+def test_verify_expands_in_one_pass(monkeypatch):
+    # with C and D cached, verify makes no ring operation but the one dot
+    # product, and one normal form
+    inst = HyperpolygonInstance(EdgeLengths([1, 1, 1, 2]))
+    certs = [certify_membership(inst, S) for S in inst.table.nonempty_shorts()]
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+        spy(Polynomial, name)
+    spy(Ideal, "normal_form")
+    for cert in certs:
+        calls.clear()
+        assert cert.verify(inst)
+        assert calls == ["normal_form"]
 
 
 @pytest.fixture

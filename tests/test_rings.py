@@ -254,6 +254,20 @@ def test_oracle_add_sub_mul(ta, tb):
     _agrees(3 - a, _ref_add({(0, 0, 0): Fraction(3)}, ra, -1))
 
 
+@given(st.lists(st.tuples(coef_terms, coef_terms), max_size=4))
+def test_oracle_dot(pairs):
+    want: dict = {}
+    for ta, tb in pairs:
+        want = _ref_add(want, _ref_mul(_ref(ta), _ref(tb)))
+    _agrees(Polynomial.dot(T, [(Polynomial(T, ta), Polynomial(T, tb)) for ta, tb in pairs]), want)
+
+
+def test_dot_rejects_mixed_tables():
+    other = VariableTable(["u", "v"])
+    with pytest.raises(ValueError):
+        Polynomial.dot(T, [(Polynomial.one(T), Polynomial.one(other))])
+
+
 @given(coef_terms, st.integers(0, 4), rationals)
 def test_oracle_pow_and_scalars(ta, n, q):
     a, ra = Polynomial(T, ta), _ref(ta)

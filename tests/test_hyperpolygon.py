@@ -29,9 +29,11 @@ from kirwan.hyperpolygon import (
     konno_ring,
     low_degree_rigidity,
     prop_hp,
+    second_iso_check,
     second_iso_presentation,
     su2_datum,
 )
+from kirwan.abelianize import verify_second_iso
 from kirwan.ideals import Ideal, QuotientRing
 from kirwan.rings import Polynomial, parse_polynomial
 
@@ -102,6 +104,50 @@ def test_classes_reject_indices_outside_1_to_n(inst4):
         inst4.D(())
 
 
+def _p_side_products(inst, S):
+    """(A_S, B_S) multiplied out over the P-side ambient from the letters
+    a_i, b_i = (c_i +- a)/2, B_S the image of A_S under a -> -a: the
+    reference for the invariant-side class builder and for ideal_I."""
+    T = inst.table_P
+    x = Polynomial.variable(T, "x")
+    A = Polynomial.one(T)
+    for i in range(1, inst.n + 1):
+        a_i = parse_polynomial(T, f"1/2*c{i} + 1/2*a")
+        b_i = parse_polynomial(T, f"1/2*c{i} - 1/2*a")
+        A = A * (x - a_i) if i in S else A * b_i
+    return A, A.substitute({"a": -Polynomial.variable(T, "a")}, table=T)
+
+
+def _even_to_Q(inst, p):
+    """An even-in-a polynomial rewritten over the invariant ambient."""
+    ai = inst.table_P.index("a")
+    assert all(exps[ai] % 2 == 0 for exps, _ in p.terms)
+    return p.map_monomials(inst.table_Q, lambda e: e[:ai] + (e[ai] // 2,) + e[ai + 1:])
+
+
+@pytest.mark.parametrize("xi", [(1, 1, 1, 2), (1, 1, 1, 1, 1), (1, 2, 4, 8, 16),
+                                (1, 1, 1, 1, 1, 2)])
+def test_class_builder_matches_the_p_side_products(xi):
+    # C_S is the even part of A_S + B_S, E_S times a is A_S - B_S, and the
+    # generators of I are the products themselves
+    inst = HyperpolygonInstance(EdgeLengths(xi))
+    a = Polynomial.variable(inst.table_P, "a")
+    gens = []
+    for S in inst.table.shorts:
+        A, B = _p_side_products(inst, S)
+        assert inst.C(S) == _even_to_Q(inst, A + B)
+        assert a * inst.E(S).substitute(inst.embed, table=inst.table_P) == A - B
+        gens += [A, B]
+    assert ideal_I(inst).generators == tuple(gens) + inst.relations_P
+
+
+def test_classes_of_long_subsets(inst4):
+    # the builder is not limited to short subsets
+    for S in ({1, 4}, {2, 3, 4}, {1, 2, 3, 4}):
+        A, B = _p_side_products(inst4, S)
+        assert inst4.C(S) == _even_to_Q(inst4, A + B)
+
+
 def test_d_degree(inst4):
     for S in inst4.table.nonempty_shorts():
         D = inst4.D(S)
@@ -139,16 +185,26 @@ def test_eprime_colon_by_elimination_is_the_lifted_d_presentation(xi):
     assert colon.equals(lifted)
 
 
+def _lifted_colon(inst):
+    """(I : e') certified with the installed a2 -> a^2 lift of (J : e)'s
+    reduced basis as its candidate: the P-side reference route."""
+    lifted = Ideal.from_basis(inst.table_P, [F.substitute(inst.embed, table=inst.table_P)
+                                             for F in annihilator_ideal(inst).groebner_basis()])
+    colon = ideal_I(inst).colon(inst.euler_eprime, candidate=lifted)
+    assert colon is lifted
+    return colon
+
+
 @pytest.mark.parametrize("xi", [[1, 1, 1, 2], [1, 2, 4, 8, 16]])
 def test_report_sums_equal_their_unseeded_bases(xi):
-    # the five sums a report completes from a verified basis plus one element
+    # the three sums a report completes from a verified basis plus one
+    # element, and the two the P-side reference route completes
     inst = HyperpolygonInstance(EdgeLengths(xi))
-    assert bridge_check(inst)
     J, I = ideal_J(inst), ideal_I(inst)
     x_Q = Polynomial.variable(inst.table_Q, "x")
     x_P = Polynomial.variable(inst.table_P, "x")
     sums = ((J, inst.euler_e), (I, inst.euler_eprime), (annihilator_ideal(inst), x_Q),
-            (J, x_Q), (I.colon(inst.euler_eprime), x_P))
+            (J, x_Q), (_lifted_colon(inst), x_P))
     for base, f in sums:
         seeded = base.sum_with([f])
         assert seeded._base == (base, (f,))
@@ -273,9 +329,8 @@ def test_graded_dimension_counts_standard_monomials_on_infinite_quotients(xi):
     # J and (J : e) live over a table where a2 has weight 2; the degrees run
     # out to verify_second_iso's comparison bound
     inst = HyperpolygonInstance(EdgeLengths(xi))
-    assert bridge_check(inst)
     I = ideal_I(inst)
-    left, right = prop_hp(inst), QuotientRing(I.colon(inst.euler_eprime))
+    left, right = prop_hp(inst), QuotientRing(_lifted_colon(inst))
     top = sum(ring.plus([Polynomial.variable(ring.table, "x")]).top_degree()
               for ring in (left, right)) + 4
     for ring in (QuotientRing(ideal_J(inst)), left, QuotientRing(I), right):
@@ -289,25 +344,86 @@ def test_bridge(inst3, inst4):
     assert bridge_check(inst4) is True
 
 
-def test_bridge_falls_back_to_elimination_for_a_partial_lift(monkeypatch):
-    # drop a generator of (J : e): the lift still lies in (I : e') but is a
-    # proper part of it, so elimination proposes the colon the bridge memoizes
-    inst = HyperpolygonInstance(EdgeLengths([1, 1, 1]))
-    basis = annihilator_ideal(inst).groebner_basis()
-    part = Ideal(inst.table_Q, basis[:-1])
-    monkeypatch.setattr(hyperpolygon, "annihilator_ideal", lambda _: part)
-    assert bridge_check(inst) is True
-    colon = ideal_I(inst).colon(inst.euler_eprime)
-    lifted = Ideal(inst.table_P, [g.substitute(inst.embed, table=inst.table_P) for g in basis])
-    assert colon.equals(lifted)
-    assert not colon.equals(Ideal(inst.table_P, lifted.generators[:-1]))
+@pytest.mark.parametrize("xi", [(1, 1, 1), (1, 1, 1, 2), (1, 2, 4, 8), (1, 1, 1, 1, 1),
+                                (1, 2, 4, 8, 16),
+                                pytest.param((1, 2, 4, 8, 16, 32), marks=pytest.mark.slow),
+                                pytest.param((1, 1, 1, 1, 1, 2), marks=pytest.mark.slow)])
+def test_p_side_route_agrees_with_the_invariant_side_checks(xi):
+    # (I : e') is certified to be the lift of (J : e) by the Hilbert exact
+    # sequence over the P-side ambient, and the second isomorphism holds
+    # when counted on its standard monomials
+    inst = HyperpolygonInstance(EdgeLengths(xi))
+    assert bridge_check(inst) is second_iso_check(inst) is True
+    _lifted_colon(inst)
+    assert verify_second_iso(second_iso_presentation(inst)) is True
 
 
-def test_bridge_is_false_when_a_lift_leaves_the_colon(monkeypatch):
-    inst = HyperpolygonInstance(EdgeLengths([1, 1, 1]))
-    one = Ideal(inst.table_Q, [Polynomial.one(inst.table_Q)])
-    monkeypatch.setattr(hyperpolygon, "annihilator_ideal", lambda _: one)
-    assert bridge_check(inst) is False
+@pytest.mark.parametrize("xi", [(1, 1, 1), (1, 1, 1, 2), (1, 2, 4, 8), (1, 2, 4, 8, 16),
+                                (1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 2), (1, 2, 4, 8, 16, 32),
+                                pytest.param((1, 2, 4, 8, 16, 32, 64), marks=pytest.mark.slow),
+                                pytest.param((1, 1, 1, 1, 1, 1, 1), marks=pytest.mark.slow)])
+def test_parity_identities_and_g_closed_form_at_every_short(xi):
+    # c_i*E_S + C_S = 0 for every i outside S (the checks take one i), and
+    # g*D_S = lam*(x + c_m) * sum over T in S of (-1)^|T|*E_T, expanded here
+    # term by term
+    inst = HyperpolygonInstance(EdgeLengths(xi))
+    T_Q = inst.table_Q
+    rel = Ideal(T_Q, list(inst.relations_Q))
+    x = Polynomial.variable(T_Q, "x")
+    g = x ** 2 - Polynomial.variable(T_Q, "a2")
+    for S in inst.table.shorts:
+        for i in set(range(1, inst.n + 1)) - S:
+            c_i = Polynomial.variable(T_Q, f"c{i}")
+            assert rel.contains(c_i * inst.E(S) + inst.C(S))
+        if S:
+            total = Polynomial.zero(T_Q)
+            for r in range(len(S) + 1):
+                for T in combinations(sorted(S), r):
+                    total = total + inst.E(T) * (-1) ** r
+            lam = Fraction(2) ** (inst.n - len(S) - 1)
+            c_m = Polynomial.variable(T_Q, f"c{min(S)}")
+            assert rel.contains((x + c_m) * total * lam - g * inst.D(S))
+
+
+def _scaled_E(monkeypatch, S):
+    """Double E_S in every instance."""
+    real = HyperpolygonInstance.E
+    monkeypatch.setattr(HyperpolygonInstance, "E",
+                        lambda inst, T: real(inst, T) * (2 if frozenset(T) == S else 1))
+
+
+def test_perturbed_e_class_raises_naming_its_subset(monkeypatch, capsys):
+    S = frozenset({1, 2})
+    inst = HyperpolygonInstance(EdgeLengths([1, 1, 1, 2]))
+    assert bridge_check(inst)
+    C, E = inst._pair(S)
+    inst._prefixes[inst.n, S] = (C, E * 2)
+    with pytest.raises(VerificationError, match=r"\[1, 2\]"):
+        second_iso_check(inst)
+    _scaled_E(monkeypatch, S)
+    with pytest.raises(VerificationError, match=r"\[1, 2\]"):
+        bridge_check(HyperpolygonInstance(EdgeLengths([1, 1, 1, 2])))
+    code = cli.main(["report", "--xi", "1", "1", "1", "2"])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 5
+    assert error["kind"] == "verification" and error["stage"] == "bridge"
+    assert "[1, 2]" in error["message"]
+
+
+def test_g_closed_form_with_a_dropped_term_raises(monkeypatch):
+    real = hyperpolygon._g_closed_form
+
+    def dropped(inst, S):
+        out = dict(real(inst, S))
+        del out[max(out, key=lambda T: (len(T), sorted(T)))]
+        return out
+
+    monkeypatch.setattr(hyperpolygon, "_g_closed_form", dropped)
+    with pytest.raises(VerificationError, match=r"\[1\]"):
+        bridge_check(HyperpolygonInstance(EdgeLengths([1, 1, 1])))
+    with pytest.raises(VerificationError) as exc:
+        full_report(EdgeLengths([1, 1, 1, 2]), with_certificates=False)
+    assert exc.value.stage == "bridge"
 
 
 # ---------------------------------------------------------------------------
@@ -632,11 +748,18 @@ def test_report_contents(report4):
 
 def test_report_computes_each_thing_once(monkeypatch):
     # every Groebner run has a distinct input, no colon is eliminated, the
-    # bases of J + <e> and I + <e'> behind the colon certificates are each
-    # built once, from the verified bases of J and I plus e and e', each
-    # certificate is verified once, and no count needs a normal-form
-    # coordinate or a rank
+    # basis of J + <e> behind the colon certificate is built once, from the
+    # verified basis of J plus e, no ideal and no Groebner run is over the
+    # P-side ambient, each certificate is verified once, and no count needs a
+    # normal-form coordinate or a rank
     runs = []
+    tables = []
+    real_init = Ideal.__init__
+
+    def init(self, table, *args, **kwargs):
+        tables.append(table)
+        real_init(self, table, *args, **kwargs)
+
     real_complete = ideals._complete
 
     def complete(seed, generators, order, budgets):
@@ -652,6 +775,7 @@ def test_report_computes_each_thing_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(ideals, "_complete", complete)
+    monkeypatch.setattr(Ideal, "__init__", init)
     monkeypatch.setattr(Ideal, "intersect", counted("intersect", Ideal.intersect))
     monkeypatch.setattr(
         MembershipCertificate, "verify", counted("verify", MembershipCertificate.verify)
@@ -664,9 +788,11 @@ def test_report_computes_each_thing_once(monkeypatch):
     made = list(runs)
     assert made and len(set(made)) == len(made), f"{len(made)} runs, {len(set(made))} distinct"
     assert counts["intersect"] == counts["rank"] == counts["coordinates"] == 0
+    assert tables and all("a" not in table for table in tables)
+    assert all("a" not in run[2].table for run in made)
     inst = HyperpolygonInstance(EdgeLengths([1, 1, 1, 2]))
-    for ideal, f in ((ideal_J(inst), inst.euler_e), (ideal_I(inst), inst.euler_eprime)):
-        assert [run[:2] for run in made].count((ideal._gb().kps, (f.terms,))) == 1
+    J = ideal_J(inst)
+    assert [run[:2] for run in made].count((J._gb().kps, (inst.euler_e.terms,))) == 1
     assert counts["verify"] == len(report["certificates"]) == 7
 
 

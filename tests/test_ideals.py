@@ -466,9 +466,10 @@ def report_bases():
 
 
 def test_both_verifiers_accept_report_bases(report_bases):
-    # 12 bases per report, then each intersection's extended block-order
-    # basis and the restricted grevlex basis installed from it
-    assert len(report_bases) == 32
+    # 8 bases per report, none over the P-side ambient, then each
+    # intersection's extended block-order basis and the restricted grevlex
+    # basis installed from it
+    assert len(report_bases) == 24
     assert sum(d.spec[:2] == ("block", 1) for d in report_bases) == 4
     for data in report_bases:
         assert verdicts(data) == [True, True]

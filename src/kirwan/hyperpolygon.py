@@ -314,7 +314,7 @@ def _closed_form(inst: HyperpolygonInstance, S: frozenset) -> dict:
     m = min(S)
     x, c = Polynomial.variable(inst.table_Q, "x"), Polynomial.variable(inst.table_Q, f"c{m}")
     front = (x + c) * Fraction(2) ** (inst.n - len(S) - 1)
-    # T = U or U u {m}: (2x - c_m) with the sign of U, -c_m with it flipped
+    # (-1)^|U|*(2x - c_m) at T = U and (-1)^|U|*(-c_m) at T = U u {m}, signed by |T|
     parts = {False: front * (x * 2 - c), True: front * c}
     return {T: parts[m in T] * (-1) ** len(T) for T in _subsets(S)}
 

@@ -5,6 +5,6 @@ Groebner engine calls; see its module docstring for the packed term layout.
 KERNEL_NAME names it for diagnostics and benchmarks.
 """
 
-from .pure import key_of, kp_from_terms, kp_lt, kp_make, kp_normal_form, kp_spoly
+from .pure import key_of, kp_from_terms, kp_make, kp_normal_form, kp_spoly
 
 KERNEL_NAME = "pure"

@@ -164,10 +164,6 @@ def kp_make(iterms, spec):
     return kp_from_terms(terms, len(kc))
 
 
-def kp_lt(kp):
-    return kp[1], kp[2]
-
-
 def kp_spoly(f, g, spec):
     """S-polynomial of two KPs, primitive; None when it cancels outright."""
     fk, fm, fc, ftail, fp = f

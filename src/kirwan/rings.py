@@ -226,24 +226,6 @@ def order_from_descriptor(table: VariableTable, desc: Mapping) -> MonomialOrder:
     raise ParseError(f"unknown order descriptor {desc!r}")
 
 
-def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a: Exponents, b: Exponents) -> bool:
-    """True when a | b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: Exponents, b: Exponents) -> Exponents:
-    """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 _CONSTANT_TERMS = ((0, 0, 1),)
 _ZERO = Fraction(0)
 _set = object.__setattr__
@@ -406,15 +388,6 @@ class Polynomial:
         """Terms of the given cohomological degree."""
         terms = [t for t in self.packed if 2 * self._weight(t[1]) == degree]
         return _canonical(self.table, terms, self.scale)
-
-    def leading_term(self, order: MonomialOrder) -> tuple:
-        """(exponents, coefficient) maximal under the order; zero poly raises."""
-        if not self.packed:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=lambda t: order.key(t[0]))
-
-    def leading_monomial(self, order: MonomialOrder) -> Exponents:
-        return self.leading_term(order)[0]
 
     # -- arithmetic --------------------------------------------------------
 

@@ -7,7 +7,9 @@ e = a2*(x^2 - a2).  Exact Hilbert numerators and the Hilbert exact sequence
 certify the predicted presentation by D-classes to be (J : e).  Every
 membership e*D_S in J is certified by an explicit combination of C-classes,
 the closed form the Hausel-Proudfoot induction on |S| unrolls to, and
-checked once by expansion modulo the ring relations.  The torus side is
+checked once by expansion modulo the ring relations; that certificate is
+also the colon's proof that e*D_S lies in J, so no e*D_S is reduced modulo
+J's basis.  The torus side is
 reached through the parity split A_S, B_S = (C_S +- a*E_S)/2: closed forms
 g*D_S in <E_T> and identities c_i*E_S + C_S = 0, checked the same way, show
 that (I : e') is the a2 -> a^2 lift of (J : e), with no P-side basis.  The
@@ -118,6 +120,7 @@ class HyperpolygonInstance:
         self._rel_ideal_Q = Ideal(self.table_Q, list(self.relations_Q), budgets=self.budgets)
         self._prefixes: dict = {}
         self._D_cache: dict = {}
+        self._certs: dict = {}
         self._J: Ideal | None = None
         self._I: Ideal | None = None
         self._Dp: Ideal | None = None
@@ -217,8 +220,19 @@ def d_presentation_ideal(inst: HyperpolygonInstance) -> Ideal:
 
 
 def annihilator_ideal(inst: HyperpolygonInstance) -> Ideal:
-    """(J : e): the D-presentation, certified as the colon (memoized on J)."""
-    return ideal_J(inst).colon(inst.euler_e, candidate=d_presentation_ideal(inst))
+    """(J : e): the D-presentation, certified as the colon (memoized on J).
+
+    No e*q is reduced modulo J: a relation q is a generator of J, so e*q lies
+    in J, and e*D_S lies in J by the certificate of S (_certified)."""
+    J = ideal_J(inst)
+    generators = set(J.generators)
+    subsets = {inst.D(S): S for S in inst.table.nonempty_shorts()}
+
+    def prove(q: Polynomial) -> None:
+        if q not in generators:
+            _certified(inst, subsets[q])
+
+    return J.colon(inst.euler_e, candidate=d_presentation_ideal(inst), prove=prove)
 
 
 def prop_hp(inst: HyperpolygonInstance) -> QuotientRing:
@@ -334,6 +348,15 @@ def certify_membership(inst: HyperpolygonInstance, S: Iterable[int]) -> Membersh
     if not cert.verify(inst):
         raise VerificationError(f"certificate for {sorted(S)} failed its expansion check")
     return cert
+
+
+def _certified(inst: HyperpolygonInstance, S: frozenset) -> dict:
+    """The report's entry for certify_membership(inst, S), which raises
+    unless the certificate verifies: built once per instance, and only the
+    entry is kept."""
+    if S not in inst._certs:
+        inst._certs[S] = {**certify_membership(inst, S).summary(), "verified": True}
+    return inst._certs[S]
 
 
 # -- ordinary side ----------------------------------------------------------
@@ -529,12 +552,12 @@ def run_stage(name: str, fn, timings: dict | None = None):
             timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
-def full_report(lengths: EdgeLengths, budgets: Budgets | None = None,
-                with_certificates: bool = True) -> dict:
+def full_report(lengths: EdgeLengths, budgets: Budgets | None = None) -> dict:
     """Everything about one instance, as plain data; deterministic given
     lengths and budgets except for the "timings" block, which callers who
     need byte-stable output should drop.  Failures propagate with a .stage
-    attribute."""
+    attribute.  The certificates are built first: they are prop_hp's
+    membership proofs too."""
     timings: dict = {}
 
     def _stage(name, fn):
@@ -556,6 +579,9 @@ def full_report(lengths: EdgeLengths, budgets: Budgets | None = None,
         "presentation": _stage("presentation", lambda: presentation_summary(inst)),
     }
 
+    certificates = _stage("certificates", lambda: [
+        _certified(inst, S) for S in inst.table.nonempty_shorts()
+    ])
     ring = _stage("prop_hp", lambda: prop_hp(inst))
     report["prop_hp"] = {
         "colon_equals_D_presentation": True,
@@ -572,13 +598,7 @@ def full_report(lengths: EdgeLengths, budgets: Budgets | None = None,
 
     report["basis_check"] = _stage("basis_check", lambda: basis_dimension_check(inst))
 
-    if with_certificates:
-        # certify_membership raises unless the certificate verifies
-        report["certificates"] = [
-            {**_stage("certificates", lambda S=S: certify_membership(inst, S)).summary(),
-             "verified": True}
-            for S in inst.table.nonempty_shorts()
-        ]
+    report["certificates"] = certificates
 
     report["formality"] = {
         "ring_J": _stage(

@@ -33,7 +33,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import _kernel as K
 from ._kernel.pure import _packer
@@ -537,17 +537,21 @@ class Ideal:
             self._hn = _hilbert_numerator(self._gb().lts, self.table.weights)
         return self._hn
 
-    def colon(self, f: Polynomial, candidate: "Ideal | None" = None) -> "Ideal":
+    def colon(self, f: Polynomial, candidate: "Ideal | None" = None,
+              prove: Callable[[Polynomial], None] | None = None) -> "Ideal":
         """(I : f) for homogeneous I and f, certified and memoized per divisor.
 
         K is the candidate, or else the exact quotients by f of the basis of
-        I ∩ ⟨f⟩.  Each generator of K times f reduces to zero modulo I, so
-        K ⊆ (I : f).  The exact sequence 0 → R/(I:f)(−deg f) → R/I →
-        R/(I+⟨f⟩) → 0 gives HN(R/I) − HN(R/(I+⟨f⟩)) = t^(deg f)·HN(R/(I:f));
-        when HN(R/K) satisfies it too, the surjection R/K → R/(I:f) is
-        between equal Hilbert series, so K = (I : f).  A failure raises
-        VerificationError, a non-homogeneous I, f or K ValueError.  A
-        certified colon is returned again unless another candidate is given.
+        I ∩ ⟨f⟩.  Each generator q of K has q·f in I, so K ⊆ (I : f): by
+        default q·f reduces to zero modulo I; given prove, prove(q) is the
+        membership proof instead, and it raises unless q·f lies in I.  The
+        exact sequence 0 → R/(I:f)(−deg f) → R/I → R/(I+⟨f⟩) → 0 gives
+        HN(R/I) − HN(R/(I+⟨f⟩)) = t^(deg f)·HN(R/(I:f)); when HN(R/K)
+        satisfies it too, the surjection R/K → R/(I:f) is between equal
+        Hilbert series, so K = (I : f).  That check runs whatever prove is.
+        A failure raises VerificationError, a non-homogeneous I, f or K
+        ValueError.  A certified colon is returned again unless another
+        candidate is given.
         """
         if f.is_zero():
             raise ZeroDivisionError("colon by the zero polynomial")
@@ -564,7 +568,9 @@ class Ideal:
                               self.order, self.budgets)
         numerator = candidate.hilbert_numerator()
         for q in candidate.generators:
-            if not self.contains(q * f):
+            if prove is not None:
+                prove(q)
+            elif not self.contains(q * f):
                 raise VerificationError("colon generator times f is not in the ideal")
         if _add_shifted(quotient, numerator, f.weighted_degree(), -1):
             raise VerificationError("colon candidate breaks the Hilbert exact sequence")

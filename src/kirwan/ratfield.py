@@ -197,16 +197,6 @@ class RationalFunction:
             raise ValueError(f"{self} is not a polynomial in x")
         return self.num
 
-    def to_polynomial(self, table: VariableTable, xname: str = "x") -> Polynomial:
-        xi = table.index(xname)
-        terms = []
-        for k, c in enumerate(self.polynomial_coeffs()):
-            if c:
-                e = [0] * len(table)
-                e[xi] = k
-                terms.append((tuple(e), c))
-        return Polynomial(table, terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "RationalFunction | None":
@@ -263,9 +253,6 @@ class RationalFunction:
         if o is None:
             return NotImplemented
         return o / self
-
-    def inverse(self) -> "RationalFunction":
-        return 1 / self
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)

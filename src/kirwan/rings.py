@@ -118,12 +118,6 @@ class VariableTable:
     def append(self, name: str, degree: int = 2) -> "VariableTable":
         return VariableTable(self.names + (name,), self.degrees + (degree,))
 
-    def drop(self, name: str) -> "VariableTable":
-        i = self.index(name)
-        return VariableTable(
-            self.names[:i] + self.names[i + 1 :], self.degrees[:i] + self.degrees[i + 1 :]
-        )
-
     def unit_exponents(self, name: str) -> Exponents:
         e = [0] * len(self.names)
         e[self.index(name)] = 1
@@ -384,11 +378,6 @@ class Polynomial:
         t = self.packed
         return not t or self._weight(t[0][1]) == self._weight(t[-1][1])
 
-    def homogeneous_component(self, degree: int) -> "Polynomial":
-        """Terms of the given cohomological degree."""
-        terms = [t for t in self.packed if 2 * self._weight(t[1]) == degree]
-        return _canonical(self.table, terms, self.scale)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "Polynomial | None":
@@ -480,8 +469,7 @@ class Polynomial:
 
         Unmapped variables go to the same-named variable of the target table;
         the target defaults to the table of any polynomial image, else to the
-        source table.  A signed permutation of variables (each image ±1 times
-        a distinct variable) maps the terms in one pass.
+        source table.
         """
         if table is None:
             for img in images.values():
@@ -501,16 +489,6 @@ class Polynomial:
                 full.append(img)
             else:
                 full.append(Polynomial.constant(table, img))
-        units = {Polynomial.variable(table, n).packed: j for j, n in enumerate(table.names)}
-        targets = [units.get(img.packed) if abs(img.scale) == 1 else None for img in full]
-        if None not in targets and len(set(targets)) == len(targets):
-            source = [len(full)] * len(table)
-            for i, j in enumerate(targets):
-                source[j] = i
-            return self.map_monomials(
-                table, lambda e: list(map((e + (0,)).__getitem__, source)),
-                [i for i, img in enumerate(full) if img.scale < 0],
-            )
         parts = []
         powers: dict = {}
         for _, m, c in self.packed:
@@ -523,25 +501,27 @@ class Polynomial:
             parts.append((self.scale * term.scale * c, _CONSTANT_TERMS, term.packed))
         return _dot(table, parts)
 
-    def map_monomials(self, table: VariableTable, fn, odd: Sequence[int] = ()) -> "Polynomial":
-        """Σ ±c·x^fn(e) over `table`, terms with coinciding images merged.
-
-        A term changes sign when its exponents at the source indices `odd`
-        have an odd sum.
-        """
-        flip = self.table.pack([int(i in odd) for i in range(len(self.table))])
+    def map_monomials(self, table: VariableTable, fn) -> "Polynomial":
+        """Σ c·x^fn(e) over `table`, terms with coinciding images merged."""
         unpack = self.table.unpack
         return _collect(table, [(0, 0, 1, [
-            table.packed_monomial(fn(unpack(m))) + (-c if (m & flip).bit_count() & 1 else c,)
-            for _, m, c in self.packed
+            table.packed_monomial(fn(unpack(m))) + (c,) for _, m, c in self.packed
         ])], self.scale)
 
     def reindex(self, table: VariableTable,
                 rename: Mapping[str, str] | None = None) -> "Polynomial":
-        """Move to another table, mapping variables by name (or via `rename`)."""
+        """Move to another table, mapping variables by name (or via `rename`);
+        the exponents of variables sent to one name add up."""
         rename = rename or {}
-        images = {n: Polynomial.variable(table, rename.get(n, n)) for n in self.table.names}
-        return self.substitute(images, table)
+        targets = [table.index(rename.get(n, n)) for n in self.table.names]
+
+        def move(exps: Exponents) -> list:
+            out = [0] * len(table)
+            for j, e in zip(targets, exps):
+                out[j] += e
+            return out
+
+        return self.map_monomials(table, move)
 
     def exact_divide(self, divisor: "Polynomial") -> "Polynomial":
         """Return self / divisor, raising InexactDivisionError on any remainder."""
@@ -558,13 +538,6 @@ class Polynomial:
             quotient = quotient + q
             remainder = remainder - q * divisor
         return quotient
-
-    def divides(self, other: "Polynomial") -> bool:
-        try:
-            other.exact_divide(self)
-            return True
-        except InexactDivisionError:
-            return False
 
     # -- textual format ----------------------------------------------------
 

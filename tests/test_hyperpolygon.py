@@ -422,7 +422,7 @@ def test_g_closed_form_with_a_dropped_term_raises(monkeypatch):
     with pytest.raises(VerificationError, match=r"\[1\]"):
         bridge_check(HyperpolygonInstance(EdgeLengths([1, 1, 1])))
     with pytest.raises(VerificationError) as exc:
-        full_report(EdgeLengths([1, 1, 1, 2]), with_certificates=False)
+        full_report(EdgeLengths([1, 1, 1, 2]))
     assert exc.value.stage == "bridge"
 
 
@@ -657,12 +657,17 @@ def test_broken_recursion_raises(inst3, dropped_term):
     assert dropped_term == []
 
 
-def test_broken_recursion_cli_exit(capsys, dropped_term):
-    code = cli.main(["certify", "--xi", "1", "1", "1", "--subset", "3"])
+@pytest.mark.parametrize("argv", [
+    ["certify", "--xi", "1", "1", "1", "--subset", "3"],
+    ["verify", "--xi", "1", "1", "1"],
+], ids=["certify", "verify"])
+def test_broken_recursion_cli_exit(capsys, dropped_term, argv):
+    code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 5
     assert captured.out == ""
-    assert json.loads(captured.err)["error"]["kind"] == "verification"
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "verification" and error["stage"] == "certificates"
     assert dropped_term == []
 
 
@@ -750,8 +755,9 @@ def test_report_computes_each_thing_once(monkeypatch):
     # every Groebner run has a distinct input, no colon is eliminated, the
     # basis of J + <e> behind the colon certificate is built once, from the
     # verified basis of J plus e, no ideal and no Groebner run is over the
-    # P-side ambient, each certificate is verified once, and no count needs a
-    # normal-form coordinate or a rank
+    # P-side ambient, each certificate is verified once and is the colon's
+    # proof that e*D_S lies in J, so no e*D_S is reduced modulo J's basis,
+    # and no count needs a normal-form coordinate or a rank
     runs = []
     tables = []
     real_init = Ideal.__init__
@@ -766,6 +772,13 @@ def test_report_computes_each_thing_once(monkeypatch):
         runs.append((tuple(seed), tuple(g.terms for g in generators), order))
         return real_complete(seed, generators, order, budgets)
 
+    reduced = []
+    real_normal_form = Ideal.normal_form
+
+    def normal_form(self, p, *args, **kwargs):
+        reduced.append((self.generators, p))
+        return real_normal_form(self, p, *args, **kwargs)
+
     counts = {"intersect": 0, "verify": 0, "rank": 0, "coordinates": 0}
 
     def counted(name, fn):
@@ -776,6 +789,7 @@ def test_report_computes_each_thing_once(monkeypatch):
 
     monkeypatch.setattr(ideals, "_complete", complete)
     monkeypatch.setattr(Ideal, "__init__", init)
+    monkeypatch.setattr(Ideal, "normal_form", normal_form)
     monkeypatch.setattr(Ideal, "intersect", counted("intersect", Ideal.intersect))
     monkeypatch.setattr(
         MembershipCertificate, "verify", counted("verify", MembershipCertificate.verify)
@@ -793,6 +807,8 @@ def test_report_computes_each_thing_once(monkeypatch):
     inst = HyperpolygonInstance(EdgeLengths([1, 1, 1, 2]))
     J = ideal_J(inst)
     assert [run[:2] for run in made].count((J._gb().kps, (inst.euler_e.terms,))) == 1
+    targets = {inst.euler_e * inst.D(S) for S in inst.table.nonempty_shorts()}
+    assert reduced and not any(gens == J.generators and p in targets for gens, p in reduced)
     assert counts["verify"] == len(report["certificates"]) == 7
 
 

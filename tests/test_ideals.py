@@ -258,6 +258,39 @@ def test_colon_rejects_a_candidate_generator_outside_the_colon():
         ideal.colon(P(T, "v"), candidate=candidate)
 
 
+def test_colon_takes_its_memberships_from_prove(monkeypatch):
+    # prove replaces the normal-form test: one that raises makes the colon
+    # raise, and one that accepts is asked about every generator
+    T = VariableTable(["u", "v"])
+    ideal = Ideal(T, [P(T, "u*v"), P(T, "v^2")])
+    candidate = Ideal(T, [P(T, "u"), P(T, "v")])
+
+    def no_normal_form(*args, **kwargs):
+        raise AssertionError("the normal-form test was consulted")
+
+    def refuse(q):
+        raise VerificationError(f"no proof for {q}")
+
+    monkeypatch.setattr(Ideal, "normal_form", no_normal_form)
+    with pytest.raises(VerificationError, match="no proof"):
+        ideal.colon(P(T, "v"), candidate=candidate, prove=refuse)
+    asked = []
+    assert ideal.colon(P(T, "v"), candidate=candidate, prove=asked.append) is candidate
+    assert asked == list(candidate.generators)
+
+
+@pytest.mark.parametrize("names, texts", [
+    (["u", "v"], ["u"]),
+    (["u", "v", "w"], ["u", "v", "w"]),
+], ids=["missing-generator", "generator-outside"])
+def test_colon_prove_cannot_bypass_the_hilbert_check(names, texts):
+    T = VariableTable(names)
+    ideal = Ideal(T, [P(T, "u*v"), P(T, "v^2")])
+    with pytest.raises(VerificationError, match="breaks the Hilbert exact sequence"):
+        ideal.colon(P(T, "v"), candidate=Ideal(T, [P(T, t) for t in texts]),
+                    prove=lambda q: None)
+
+
 def test_colon_needs_homogeneous_input():
     T = VariableTable(["u", "v"])
     ideal = Ideal(T, [P(T, "u*v"), P(T, "v^2")])

@@ -96,7 +96,6 @@ def test_from_polynomial_roundtrip():
     p = parse_polynomial(T, "x^3 - 2*x + 1")
     r = RationalFunction.from_polynomial(p)
     assert r.polynomial_coeffs() == (Fraction(1), Fraction(-2), Fraction(0), Fraction(1))
-    assert r.to_polynomial(T) == p
     with pytest.raises(ValueError):
         RationalFunction.from_polynomial(parse_polynomial(T, "c*x"))
 
